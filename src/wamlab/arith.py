@@ -229,7 +229,8 @@ def _factor_uncached(n: int, budget: int) -> Factorization:
             _split(rem, counts, budget)
     items = sorted(counts.items())
     out = Factorization(n, tuple(p for p, _ in items), tuple(e for _, e in items))
-    assert math.prod(p**e for p, e in items) == n
+    if math.prod(p**e for p, e in items) != n:
+        raise RuntimeError(f"factors {items} do not multiply back to {n}")
     return out
 
 

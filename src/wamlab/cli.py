@@ -221,7 +221,9 @@ def _cmd_zeros(args, out: _Output):
     out.meta["n"] = args.n
     out.meta["region"] = f"re [{re_lo}:{re_hi}] im [{im_lo}:{im_hi}]"
     out.meta["grid_step"] = args.step
-    for key in ("seeds", "converged", "no_convergence", "out_of_region"):
+    for key in (
+        "seeds", "converged", "no_convergence", "out_of_region", "deduplicated"
+    ):
         out.meta[key] = getattr(search, key)
     out.table(
         ["re", "im", "residual", "numerator_magnitude", "classification"],

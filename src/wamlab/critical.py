@@ -10,9 +10,10 @@ raw terms (ln p_k)^a are not all increasing (the p = 2 term decreases: its
 log is below 1).  To the right of a_crit the top term dominates outright,
 which yields an explicit upper bound on |wam| and a pole-free half-plane.
 
-a_crit depends on the log base (the defining equation is not a ratio of
-same-shape sums); natural logs are used throughout and recorded in every
-CLI output header.
+a_crit does not depend on the log base: in base b every term
+(log_b p_k)^s = (ln b)^(-s) (ln p_k)^s gains the same factor (ln b)^(-s),
+which cancels from the ratios in g(a).  Natural logs are used throughout
+and recorded in every CLI output header.
 """
 
 from __future__ import annotations

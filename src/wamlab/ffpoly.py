@@ -451,7 +451,8 @@ def count_irreducibles(q: int, n: int) -> int:
     if q**n >= 1 << 63:
         raise OverflowError(f"q^n = {q}^{n} exceeds 2^63")
     total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise RuntimeError(f"Moebius sum {total} is not divisible by {n}")
     return total // n
 
 

@@ -28,10 +28,13 @@ from .wamcore import integer_wam_sums
 from .zeros import SearchRegion
 
 DEFAULT_HEATMAP_CAP = 1e6
-GENERATE_C_MAX_LIMIT = 10**7
+GENERATE_C_MAX_LIMIT = 10**6
 #: Relative slack for the vectorized quality prefilter; survivors are
 #: re-tested exactly before being kept.
 _PREFILTER_SLACK = 1e-9
+#: Candidates (a, c) that generate_triples prefilters per vectorized pass;
+#: bounds its temporaries while amortizing numpy call overhead.
+_CANDIDATE_BLOCK = 1 << 13
 
 
 class NotATriple(ValueError):
@@ -163,28 +166,46 @@ def generate_triples(c_max: int, min_quality: float = 1.0) -> list[AbcTriple]:
     """All ABC triples with c <= c_max and quality >= min_quality.
 
     Sorted by descending quality (ties by ascending c then a).  A sieve
-    supplies radicals; a vectorized pass per c prefilters by approximate
-    quality, and survivors are validated exactly.
+    supplies radicals.  Quality >= q forces rad(a) rad(b) rad(c) <= c^(1/q),
+    so for each c only the a with rad(a) <= c^(1/q) / rad(c) are scanned:
+    a prefix of 1..c_max sorted by radical, kept when a <= c // 2 and
+    gcd(a, c) = 1.  For q <= 0 the budget is unbounded and every coprime
+    a <= c // 2 is scanned.  Candidates of many c are prefiltered together
+    by approximate quality, and survivors are validated exactly.
     """
     if not 2 <= c_max <= GENERATE_C_MAX_LIMIT:
         raise ValueError(f"c_max must lie in [2, {GENERATE_C_MAX_LIMIT}]")
     rad = _radical_sieve(c_max)
     rad_f = rad.astype(float)
+    by_rad = np.argsort(rad[1:], kind="stable") + 1
+    cs = np.arange(2, c_max + 1)
+    inv_q = 1.0 / min_quality if min_quality > 0 else math.inf
+    with np.errstate(over="ignore"):
+        budget = np.power(cs.astype(float), inv_q) / rad_f[cs]
+    # The slack only widens the scan; validate_triple stays the exact gate.
+    # Every a <= c // 2 has rad(a) <= c // 2, so a larger budget adds nothing.
+    budget = np.minimum(budget * (1 + _PREFILTER_SLACK), cs // 2)
+    lengths = np.searchsorted(rad[by_rad], budget, side="right")
+    ends = np.cumsum(lengths)
     found: list[AbcTriple] = []
-    for c in range(2, c_max + 1):
-        a = np.arange(1, c // 2 + 1)
-        coprime = np.gcd(a, c) == 1
-        a = a[coprime]
-        if a.size == 0:
-            continue
+    lo = 0
+    while lo < cs.size:
+        first = ends[lo] - lengths[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, first + _CANDIDATE_BLOCK, "right")))
+        k = lengths[lo:hi]
+        c = np.repeat(cs[lo:hi], k)
+        a = by_rad[np.arange(c.size) - np.repeat(ends[lo:hi] - k - first, k)]
+        keep = (a <= c // 2) & (np.gcd(a, c) == 1)
+        a, c = a[keep], c[keep]
         b = c - a
         # quality ~= ln c / ln(rad(a) rad(b) rad(c)); exact for (1,1,2).
         log_radprod = np.log(rad_f[a]) + np.log(rad_f[b]) + np.log(rad_f[c])
         passing = np.log(c) >= (min_quality - _PREFILTER_SLACK) * log_radprod
-        for ai in a[passing]:
-            t = validate_triple(int(ai), c - int(ai), c)
+        for ai, ci in zip(a[passing].tolist(), c[passing].tolist()):
+            t = validate_triple(ai, ci - ai, ci)
             if t.quality >= min_quality:
                 found.append(t)
+        lo = hi
     found.sort(key=lambda t: (-t.quality, t.c, t.a))
     return found
 

@@ -112,6 +112,10 @@ class TestTableCommands:
         assert set(rows[0]) == {"re", "im", "residual", "numerator_magnitude", "classification"}
         assert all(row["classification"] == "removable" for row in rows)
         assert abs(float(rows[0]["im"]) - 6.821234041066631) < 1e-8
+        meta = meta_lines(out)
+        assert meta["deduplicated"] == "4"
+        dropped = int(meta["out_of_region"]) + int(meta["deduplicated"])
+        assert int(meta["converged"]) == len(rows) + dropped
 
     def test_zeros_negative_range_parses(self):
         code, out, _ = run(["zeros", "30", "--re", "-1:2.5", "--im", "-20:20"])

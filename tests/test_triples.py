@@ -1,5 +1,7 @@
 """Coprime a + b = c triples: validation, generation, datasets, heatmaps."""
 
+import hashlib
+import itertools
 import math
 import os
 
@@ -96,9 +98,28 @@ class TestGeneration:
         assert [(t.a, t.b, t.c) for t in got] == [(1, 1, 2)]
 
     def test_matches_bruteforce_oracle(self):
-        for c_max, q in ((300, 0.9), (300, 1.0), (200, 1.2)):
+        # q = 0 and 0.5 put the radical budget above c (a full scan); q = 1
+        # puts it exactly at 1 for squarefree c; q = 2 leaves it below 1 for
+        # most c.
+        small = itertools.product((2, 3, 64, 150), (0.0, 0.5, 0.9, 1.0, 1.01, 1.3, 2.0))
+        for c_max, q in ((300, 0.9), (300, 1.0), (200, 1.2), *small):
             got = sorted((t.a, t.b, t.c) for t in generate_triples(c_max, q))
             assert got == oracle_triples(c_max, q), (c_max, q)
+
+    @pytest.mark.parametrize(
+        "c_max, q, count, digest",
+        [
+            (10_000, 1.0, 122, "76bc03bed97490e930738ecb89ee678ae53b5368ddd29b7f870bcde3528a099b"),
+            (9950, 1.01, 108, "deb5dd9fab8a5a66bfc01bd42fa6ed6a9402ee0c7ebf9f57e3e5320d3123054a"),
+        ],
+    )
+    def test_output_pinned_in_order(self, c_max, q, count, digest):
+        # Digests of the full-scan generator's output, one "a b c" line per
+        # triple in the returned order.
+        triples = generate_triples(c_max, q)
+        text = "".join(f"{t}\n" for t in triples)
+        assert len(triples) == count
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_contains_known_high_quality_triples(self):
         got = {(t.a, t.b, t.c) for t in generate_triples(200, 1.4)}
@@ -122,7 +143,7 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_triples(1, 1.0)
         with pytest.raises(ValueError):
-            generate_triples(10**7 + 1, 1.0)
+            generate_triples(10**6 + 1, 1.0)
 
     def test_multiplicity_never_reaches_four_at_scale(self):
         # Mirror of the three-term bound: the weighted multiplicity of a*b*c
