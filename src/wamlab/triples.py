@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -241,22 +240,6 @@ class HeatmapGrid:
     cap: float
 
 
-def _worker_count() -> int:
-    env = os.environ.get("WAMLAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _abs_wam_grid(f: Factorization, grid: np.ndarray, cap: float) -> np.ndarray:
-    sums = integer_wam_sums(f)
-    num = sums.numerator(grid)
-    den = sums.denominator(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(num) / np.abs(den)
-    return np.where(np.isfinite(ratio), np.minimum(ratio, cap), cap)
-
-
 def max_wam_heatmap(
     triples: Sequence[AbcTriple],
     region: SearchRegion,
@@ -265,9 +248,10 @@ def max_wam_heatmap(
     """Rasterize log10(max over triples of |wam(abc, s)|), capped.
 
     Cells at poles (or anywhere the ratio exceeds the cap) saturate at
-    log10(cap); the cap is recorded on the grid.  Triples are processed
-    by a small thread pool (size capped by WAMLAB_THREADS) and reduced
-    with an order-independent exact maximum.
+    log10(cap); the cap is recorded on the grid.  Each triple's grid is one
+    separable exponential-sum product (ExpSum.outer).  |wam| is conjugate
+    symmetric, so when the im axis is symmetric about 0 only the rows with
+    im >= 0 are computed and the rest are their exact mirror image.
     """
     if not triples:
         raise ValueError("heatmap needs at least one triple")
@@ -275,14 +259,17 @@ def max_wam_heatmap(
         raise ValueError("cap must be positive")
     re_axis = _symmetric_axis(region.re_min, region.re_max, region.grid_step)
     im_axis = _symmetric_axis(region.im_min, region.im_max, region.grid_step)
-    grid = re_axis[None, :] + 1j * im_axis[:, None]
-
-    best = np.zeros(grid.shape)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for partial in pool.map(
-            lambda t: _abs_wam_grid(t.abc_factorization, grid, cap), triples
-        ):
-            np.maximum(best, partial, out=best)
+    half = im_axis.size // 2 if np.all(im_axis + im_axis[::-1] == 0.0) else 0
+    best = np.zeros((im_axis.size - half, re_axis.size))
+    for t in triples:
+        sums = integer_wam_sums(t.abc_factorization)
+        weights = np.stack([sums.numerator.weights, sums.denominator.weights])
+        num, den = sums.denominator.outer(1j * im_axis[half:], re_axis, weights=weights)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(num) / np.abs(den)
+        capped = np.where(np.isfinite(ratio), np.minimum(ratio, cap), cap)
+        np.maximum(best, capped, out=best)
+    best = np.concatenate([best[::-1][:half], best])
     cells = np.log10(np.maximum(best, 1e-300))
     return HeatmapGrid(re_axis, im_axis, cells, cap)
 

@@ -28,6 +28,8 @@ REMOVABLE_RTOL = 1e-8
 BOUNDARY_RTOL = 1e-12
 _GL_NODES_PER_PANEL = 64
 _MAX_PANELS_PER_EDGE = 64
+#: Seed-grid points evaluated per band; bounds the search's memory.
+_SEED_BLOCK = 1 << 20
 
 
 class BoundaryZero(RuntimeError):
@@ -112,42 +114,55 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
-    """Centers of grid cells where Re f and Im f both change sign."""
+    """Centers of grid cells where Re f and Im f both change sign.
+
+    The grid is evaluated in bands of at most _SEED_BLOCK points; each band
+    starts on the last row of the one before, so no cell loses a corner.
+    """
     re = _axis(region.re_min, region.re_max, region.grid_step)
     im = _axis(region.im_min, region.im_max, region.grid_step)
     if re.size < 2 or im.size < 2:
         raise ValueError("region is smaller than one grid cell")
-    grid = re[None, :] + 1j * im[:, None]
-    vals = den(grid)
 
-    def _mixed(sign):
+    def _mixed(positive):
+        sign = np.where(positive, np.int8(1), np.int8(-1))
         corners = sign[:-1, :-1] + sign[:-1, 1:] + sign[1:, :-1] + sign[1:, 1:]
         return np.abs(corners) < 4
 
-    cells = _mixed(np.where(vals.real >= 0, 1, -1)) & _mixed(
-        np.where(vals.imag >= 0, 1, -1)
-    )
-    ii, jj = np.nonzero(cells)
+    rows = max(2, _SEED_BLOCK // re.size)
+    ii, jj = [], []
+    for lo in range(0, im.size - 1, rows - 1):
+        vals = den.outer(1j * im[lo : lo + rows], re)
+        i, j = np.nonzero(_mixed(vals.real >= 0) & _mixed(vals.imag >= 0))
+        ii.append(i + lo)
+        jj.append(j)
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
     return (re[jj] + 0.5 * region.grid_step) + 1j * (im[ii] + 0.5 * region.grid_step)
 
 
 def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
-    """Run Newton iteration on every seed at once; split by outcome."""
-    dden = den.derivative()
+    """Run Newton iteration on every seed at once; split by outcome.
+
+    One exp(z ⊗ r) per iteration gives f, f' and the term scale at z; |f|
+    below max(newton_tol, 64 eps sum_k |w_k e^{r_k z}|) counts as converged.
+    """
+    weights = den.weights.astype(complex)
+    slopes = (den.weights * den.rates).astype(complex)
+    floor = 64 * np.finfo(float).eps * np.abs(den.weights)
     z = seeds.astype(complex)
     active = np.ones(z.shape, dtype=bool)
-    for _ in range(region.max_newton_iters):
-        if not active.any():
-            break
-        fz = den(z[active])
-        dfz = dden(z[active])
-        ok = np.abs(dfz) > 1e-300
-        step = np.zeros_like(fz)
-        step[ok] = fz[ok] / dfz[ok]
-        z[active] = z[active] - step
-        small = np.abs(den(z[active])) < region.newton_tol
+    for it in range(region.max_newton_iters + 1):
         idx = np.nonzero(active)[0]
-        active[idx[small]] = False
+        terms = np.exp(z[idx, None] * den.rates)
+        fz = terms @ weights
+        if it:
+            small = np.abs(fz) < np.maximum(region.newton_tol, np.abs(terms) @ floor)
+            active[idx[small]] = False
+            idx, terms, fz = idx[~small], terms[~small], fz[~small]
+        if it == region.max_newton_iters or not idx.size:
+            break
+        dfz = terms @ slopes
+        z[idx] -= np.divide(fz, dfz, out=np.zeros_like(fz), where=np.abs(dfz) > 1e-300)
     converged = ~active
     return z[converged], int(converged.sum()), int(active.sum())
 
@@ -322,10 +337,15 @@ def critical_line_probe(
     best_b = 0.0
     chunk = 1 << 20
     for start in range(0, samples + 1, chunk):
-        idx = np.arange(start, min(start + chunk, samples + 1))
-        vals = np.abs(den(a + 1j * step * idx))
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = float(vals[k])
-            best_b = float(step * idx[k])
+        n = min(chunk, samples + 1 - start)
+        block = math.isqrt(n - 1) + 1
+        heads = start + block * np.arange(-(-n // block))
+        vals = den.outer(a + 1j * step * heads, 1j * step * np.arange(block))
+        k = start + int(np.argmin(np.abs(vals).ravel()[:n]))
+        # The winner is re-evaluated pointwise, so the reported minimum does
+        # not depend on how the samples were split into blocks.
+        value = abs(den(a + 1j * step * k))
+        if value < best:
+            best = value
+            best_b = float(step * k)
     return CriticalLineProbe(a, b_max, samples, best, best_b)

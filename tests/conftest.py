@@ -4,12 +4,16 @@ Exhaustive sweeps run at desk scale by default; set WAMLAB_FULL=1 to run
 the wider (slower) ranges.
 """
 
+import math
 import os
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from wamlab.arith import Factorization
+import wamlab
+from wamlab.arith import MAX_VALUE, Factorization
 
 FULL = os.environ.get("WAMLAB_FULL") == "1"
 
@@ -29,12 +33,32 @@ SMALL_PRIMES = (
 
 @st.composite
 def factorizations(draw, min_m=1, max_m=4, max_exp=5):
-    """Factorizations assembled from a pool of small primes."""
-    primes = draw(
-        st.sets(st.sampled_from(SMALL_PRIMES), min_size=min_m, max_size=max_m)
+    """Factorizations assembled from a pool of small primes.
+
+    Each drawn exponent is lowered, if need be, until the product stays
+    below 2^127, the factoring limit; (79*83*89*97)^5 would exceed it.
+    """
+    primes = sorted(
+        draw(st.sets(st.sampled_from(SMALL_PRIMES), min_size=min_m, max_size=max_m))
     )
-    pairs = [(p, draw(st.integers(1, max_exp))) for p in sorted(primes)]
+    room = (MAX_VALUE - 1) // math.prod(primes)
+    pairs = []
+    for p in primes:
+        e = draw(st.integers(1, max_exp))
+        while p ** (e - 1) > room:
+            e -= 1
+        room //= p ** (e - 1)
+        pairs.append((p, e))
     return Factorization.from_pairs(pairs)
+
+
+def run_with_blas_threads(threads, args):
+    """Run `python args...` in a fresh interpreter whose BLAS uses `threads`
+    threads (OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads)."""
+    src = os.path.dirname(os.path.dirname(wamlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    subprocess.run([sys.executable, *args], env=env, check=True, timeout=120)
 
 
 def random_poly(rng, q, max_deg, *, monic=False):

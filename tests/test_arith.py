@@ -218,3 +218,8 @@ class TestInvariants:
     @given(factorizations())
     def test_factor_inverts_value(self, f):
         assert factor(f.value).pairs() == f.pairs()
+
+    @given(factorizations(min_m=8, max_m=12))
+    def test_strategy_stays_below_the_factoring_limit(self, f):
+        # Uncapped, eight primes with exponents up to 5 often pass 2^127.
+        assert len(f.primes) >= 8 and f.value < MAX_VALUE

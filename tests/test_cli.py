@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from conftest import run_with_blas_threads
 from wamlab.arith import is_prime
 from wamlab.cli import main
 from wamlab.ffpoly import FpPoly
@@ -229,13 +230,15 @@ class TestDeterminism:
         second = run_file(tmp_path, argv, name="b.txt")
         assert first == second
 
-    def test_heatmap_insensitive_to_thread_count(self, tmp_path, monkeypatch):
-        argv = ["heatmap", "--gen", "400", "--re", "-2:2", "--im", "-2:2", "--step", "0.2"]
-        monkeypatch.setenv("WAMLAB_THREADS", "1")
-        serial = run_file(tmp_path, argv, name="serial.csv")
-        monkeypatch.setenv("WAMLAB_THREADS", "8")
-        threaded = run_file(tmp_path, argv, name="threaded.csv")
-        assert serial == threaded
+    def test_heatmap_insensitive_to_thread_count(self, tmp_path):
+        # Large enough that OpenBLAS splits the grid products across threads.
+        argv = ["heatmap", "--gen", "400", "--re", "-6:6", "--im", "-6:6", "--step", "0.02"]
+        outputs = []
+        for threads in (1, 2):
+            path = tmp_path / f"threads-{threads}.csv"
+            run_with_blas_threads(threads, ["-m", "wamlab.cli", *argv, "--out", str(path)])
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDatasetIssues:

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import run_with_blas_threads
 from wamlab.arith import factor, radical
 from wamlab.triples import (
     AbcTriple,
@@ -239,13 +240,19 @@ class TestHeatmap:
         assert np.all(grid.cells <= math.log10(2.0) + 1e-12)
         assert grid.cap == 2.0
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        triples = generate_triples(300, 1.0)
-        monkeypatch.setenv("WAMLAB_THREADS", "1")
-        serial = max_wam_heatmap(triples, self.REGION)
-        monkeypatch.setenv("WAMLAB_THREADS", "4")
-        threaded = max_wam_heatmap(triples, self.REGION)
-        assert np.array_equal(serial.cells, threaded.cells)
+    def test_thread_count_does_not_change_result(self, tmp_path):
+        script = (
+            "import sys, numpy as np\n"
+            "from wamlab import SearchRegion, generate_triples, max_wam_heatmap\n"
+            "region = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.02)\n"
+            "np.save(sys.argv[1], max_wam_heatmap(generate_triples(300, 1.0), region).cells)\n"
+        )
+        cells = []
+        for threads in (1, 2):
+            path = tmp_path / f"threads-{threads}.npy"
+            run_with_blas_threads(threads, ["-c", script, str(path)])
+            cells.append(np.load(path))
+        assert np.array_equal(cells[0], cells[1])
 
 
 class TestMersenneFamily:

@@ -182,6 +182,74 @@ class TestExpSum:
         assert abs(es.abs_at(2.0) - abs(es(2.0))) < 1e-14
 
 
+class TestOuterKernel:
+    """ExpSum.outer, the separable kernel behind grids and line scans."""
+
+    RE = np.linspace(-6.0, 6.0, 25)
+    IM = np.linspace(-40.0, 40.0, 33)
+
+    def shift(self, es, re):
+        """exp(max_k r_k re), the factor outer divides each column by."""
+        return np.exp(np.multiply.outer(re, es.rates).max(axis=1))
+
+    @given(factorizations(min_m=2))
+    def test_rectangle_matches_pointwise(self, f):
+        es = integer_wam_sums(f).numerator
+        table = es.outer(1j * self.IM, self.RE) * self.shift(es, self.RE)
+        pointwise = es(self.RE[None, :] + 1j * self.IM[:, None])
+        assert np.all(np.abs(table - pointwise) <= 1e-12 * es.abs_at(self.RE))
+
+    @given(factorizations(min_m=2))
+    def test_shift_keeps_signs(self, f):
+        es = integer_wam_sums(f).numerator
+        table = es.outer(1j * self.IM, self.RE)
+        pointwise = es(self.RE[None, :] + 1j * self.IM[:, None])
+        clear = 1e-9 * es.abs_at(self.RE)
+        for part in (np.real, np.imag):
+            away = np.abs(part(pointwise)) > clear
+            assert np.array_equal(np.sign(part(pointwise))[away], np.sign(part(table))[away])
+
+    def test_weight_stack_matches_single_sums(self):
+        sums = integer_wam_sums(factor(2**3 * 3 * 5**2 * 7))
+        weights = np.stack([sums.numerator.weights, sums.denominator.weights])
+        both = sums.denominator.outer(1j * self.IM, self.RE, weights=weights)
+        assert both.shape == (2, self.IM.size, self.RE.size)
+        for table, es in zip(both, (sums.numerator, sums.denominator)):
+            assert np.array_equal(table, es.outer(1j * self.IM, self.RE))
+
+    @given(factorizations(min_m=2), st.floats(-2.0, 4.0))
+    def test_line_matches_pointwise_to_large_height(self, f, a):
+        es = integer_wam_sums(f).numerator
+        block, step = 64, 1e5 / 64**2
+        heads = block * np.arange(block)
+        table = es.outer(a + 1j * step * heads, 1j * step * np.arange(block))
+        pointwise = es(a + 1j * step * np.arange(block**2))
+        # Each path rounds the phase r_k b to within eps |r_k| b / 2, so the
+        # two may differ by eps |r_k| b: about 3.4e-11 for p = 97 at b = 1e5.
+        floor = 2 * np.finfo(float).eps * np.abs(es.rates).max() * 1e5
+        assert np.all(np.abs(table.ravel() - pointwise) <= floor * es.abs_at(a))
+
+    @given(factorizations(min_m=2))
+    def test_shifted_rectangle_survives_extreme_real_parts(self, f):
+        mpmath = pytest.importorskip("mpmath")
+        sums = integer_wam_sums(f)
+        re = np.array([-2000.0, 2000.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pointwise = sums.denominator(re[None, :] + 1j * self.IM[:, None])
+        assert not np.all(np.isfinite(pointwise))
+        weights = np.stack([sums.numerator.weights, sums.denominator.weights])
+        num, den = sums.denominator.outer(1j * self.IM, re, weights=weights)
+        assert np.all(np.isfinite(num)) and np.all(np.isfinite(den))
+        with mpmath.workdps(30):
+            for i in range(0, self.IM.size, 8):
+                for j in range(re.size):
+                    s = mpmath.mpc(re[j], self.IM[i])
+                    terms = [mpmath.log(p) ** s for p in f.primes]
+                    top = mpmath.fsum(e * t for e, t in zip(f.exponents, terms))
+                    exact = float(abs(top / mpmath.fsum(terms)))
+                    assert abs(abs(num[i, j] / den[i, j]) - exact) <= 1e-9 * exact
+
+
 class TestCrudeTopMultiplicityBound:
     @pytest.mark.parametrize("n", [8, 30, 72, 360, 2048 * 2047])
     def test_examples_hold(self, n):

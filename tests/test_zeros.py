@@ -3,20 +3,25 @@
 import cmath
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import SMALL_PRIMES, factorizations
 from wamlab.arith import Factorization, factor
+from wamlab import zeros
 from wamlab.critical import critical_abscissa
+from wamlab.wamcore import integer_wam_sums
 from wamlab.zeros import (
     BoundaryZero,
     Classification,
     QuadratureNoConvergence,
     SearchRegion,
     argument_principle_count,
+    _seed_points,
     critical_line_probe,
     find_zeros,
 )
@@ -155,6 +160,47 @@ class TestSearchQuality:
         assert len(search.records) + search.out_of_region + search.deduplicated == search.converged
 
 
+class TestLargeTerms:
+    def test_twelve_prime_rectangle_finds_every_zero(self):
+        # Terms reach about 1e65 here, so an absolute Newton tolerance of
+        # 1e-10 lies far below the floating-point floor of |f|.
+        primes = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103)
+        f = Factorization.from_pairs([(p, 1 + i % 2) for i, p in enumerate(primes)])
+        a0 = critical_abscissa(f).a_crit
+        region = SearchRegion(a0 - 8.0, a0 + 0.5, 500.0, 1000.0)
+        search = find_zeros(f, region)
+        assert search.no_convergence == 0
+        assert len(search.records) == argument_principle_count(f, region) == 1
+
+
+class TestSeedBands:
+    REGION = SearchRegion(-1.0, 2.5, 0.0, 40.0)
+
+    @pytest.mark.parametrize("block", [1, 300, 5000])
+    def test_bands_do_not_change_the_seeds(self, monkeypatch, block):
+        f = factor(30)
+        den = integer_wam_sums(f).denominator
+        whole = _seed_points(den, self.REGION)
+        whole_search = find_zeros(f, self.REGION)
+        monkeypatch.setattr(zeros, "_SEED_BLOCK", block)
+        assert np.array_equal(_seed_points(den, self.REGION), whole)
+        assert find_zeros(f, self.REGION) == whole_search
+
+    def test_seed_grid_memory_is_bounded(self):
+        # 71 x 100001 grid points: evaluated at once, the grid and its
+        # per-term temporaries would take several hundred MB.
+        f = factor(30)
+        find_zeros(f, SearchRegion(-1.0, 2.5, 0.0, 5.0))
+        tracemalloc.start()
+        try:
+            search = find_zeros(f, SearchRegion(-1.0, 2.5, 0.0, 5000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(search.records) > 0
+        assert peak < 64 * 2**20
+
+
 class TestArgumentPrinciple:
     @pytest.mark.parametrize(
         "n,region,count",
@@ -216,6 +262,22 @@ class TestCriticalLineProbe:
         s = complex(a0, probe.argmin_b)
         den = sum(cmath.exp(s * math.log(math.log(p))) for p in f.primes)
         assert abs(abs(den) - probe.min_abs) < 1e-9
+
+    def test_reports_the_pointwise_minimum(self):
+        # Three chunks of samples, each scanned in blocks by the kernel.
+        f = factor(2 * 3 * 5 * 7)
+        samples = 3_000_000
+        probe = critical_line_probe(f, 1e5, samples)
+        den = integer_wam_sums(f).denominator
+        step = 1e5 / samples
+        best = (math.inf, -1)
+        for lo in range(0, samples + 1, 1 << 18):
+            idx = np.arange(lo, min(lo + (1 << 18), samples + 1))
+            vals = np.abs(den(probe.a_crit + 1j * step * idx))
+            k = int(np.argmin(vals))
+            best = min(best, (float(vals[k]), int(idx[k])))
+        assert probe.argmin_b == step * best[1]
+        assert abs(probe.min_abs - best[0]) < 1e-12
 
 
 class TestRegionValidation:
