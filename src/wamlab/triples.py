@@ -263,8 +263,8 @@ def max_wam_heatmap(
     best = np.zeros((im_axis.size - half, re_axis.size))
     for t in triples:
         sums = integer_wam_sums(t.abc_factorization)
-        weights = np.stack([sums.numerator.weights, sums.denominator.weights])
-        num, den = sums.denominator.outer(1j * im_axis[half:], re_axis, weights=weights)
+        num = sums.numerator.outer(1j * im_axis[half:], re_axis)
+        den = sums.denominator.outer(1j * im_axis[half:], re_axis)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(num) / np.abs(den)
         capped = np.where(np.isfinite(ratio), np.minimum(ratio, cap), cap)

@@ -68,7 +68,7 @@ class ExpSum:
             return complex(vals)
         return vals
 
-    def outer(self, u, v, *, weights=None):
+    def outer(self, u, v):
         """f(u[i] + v[j]) for 1-d u and v, as one matrix product.
 
         exp(r(u + v)) = exp(ru) exp(rv), so the table is
@@ -76,14 +76,12 @@ class ExpSum:
         instead of len u·len v·m.  Column j comes divided by
         exp(max_k r_k Re v_j) (log-sum-exp): it cannot overflow, and the signs
         of Re and Im and the ratio of two sums on the same rates are kept.
-        `weights` (c, m) evaluates c sums on these rates in one pass.
         """
-        w = self.weights if weights is None else np.asarray(weights, dtype=float)
         v_terms = np.multiply.outer(np.asarray(v), self.rates)
         v_terms -= v_terms.real.max(axis=1, keepdims=True)
         u_terms = np.exp(np.multiply.outer(np.asarray(u, dtype=complex), self.rates))
         # Both factors complex, so numpy hands the product to BLAS (zgemm).
-        return (u_terms * w[..., None, :]) @ np.exp(v_terms).T.astype(complex)
+        return (u_terms * self.weights) @ np.exp(v_terms).T.astype(complex)
 
     def derivative(self) -> "ExpSum":
         return ExpSum(self.weights * self.rates, self.rates)

@@ -143,12 +143,11 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
 def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
     """Run Newton iteration on every seed at once; split by outcome.
 
-    One exp(z ⊗ r) per iteration gives f, f' and the term scale at z; |f|
-    below max(newton_tol, 64 eps sum_k |w_k e^{r_k z}|) counts as converged.
+    One exp(z ⊗ r) per iteration gives both f and f' at z; the f of each
+    step's result is also its convergence test, |f| < newton_tol.
     """
     weights = den.weights.astype(complex)
     slopes = (den.weights * den.rates).astype(complex)
-    floor = 64 * np.finfo(float).eps * np.abs(den.weights)
     z = seeds.astype(complex)
     active = np.ones(z.shape, dtype=bool)
     for it in range(region.max_newton_iters + 1):
@@ -156,7 +155,7 @@ def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
         terms = np.exp(z[idx, None] * den.rates)
         fz = terms @ weights
         if it:
-            small = np.abs(fz) < np.maximum(region.newton_tol, np.abs(terms) @ floor)
+            small = np.abs(fz) < region.newton_tol
             active[idx[small]] = False
             idx, terms, fz = idx[~small], terms[~small], fz[~small]
         if it == region.max_newton_iters or not idx.size:
@@ -322,8 +321,9 @@ def critical_line_probe(
 
     `samples` counts grid intervals, so the b spacing is b_max/samples and
     samples+1 points are evaluated; doubling `samples` (or extending b_max
-    at fixed spacing) refines to a superset grid, which is what makes the
-    reported minimum monotone under refinement.  Requires m >= 3, where
+    at fixed spacing) refines to a superset grid, and every sample is judged
+    by its pointwise value, which is what makes the reported minimum
+    monotone under refinement.  Requires m >= 3, where
     denominator zeros genuinely are poles of a nonconstant wam.
     """
     if len(f.primes) < 3:
@@ -333,6 +333,7 @@ def critical_line_probe(
     a = critical_abscissa(f).a_crit
     den = integer_wam_sums(f).denominator
     step = b_max / samples
+    rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * den.abs_at(a)
     best = math.inf
     best_b = 0.0
     chunk = 1 << 20
@@ -340,12 +341,16 @@ def critical_line_probe(
         n = min(chunk, samples + 1 - start)
         block = math.isqrt(n - 1) + 1
         heads = start + block * np.arange(-(-n // block))
-        vals = den.outer(a + 1j * step * heads, 1j * step * np.arange(block))
-        k = start + int(np.argmin(np.abs(vals).ravel()[:n]))
-        # The winner is re-evaluated pointwise, so the reported minimum does
-        # not depend on how the samples were split into blocks.
-        value = abs(den(a + 1j * step * k))
-        if value < best:
-            best = value
-            best_b = float(step * k)
+        vals = np.abs(den.outer(a + 1j * step * heads, 1j * step * np.arange(block)))
+        vals = vals.ravel()[:n]
+        # Kernel and pointwise values differ by the rounding of the phases
+        # r_k b and of the sum; every sample that rounding could make the
+        # minimum is re-evaluated pointwise, so the result is the pointwise
+        # minimum whatever the blocks.
+        slack = floor * (rmax * step * (start + n) + den.rates.size)
+        for k in start + np.flatnonzero(vals <= vals.min() + slack):
+            value = abs(den(a + 1j * step * k))
+            if value < best:
+                best = value
+                best_b = float(step * k)
     return CriticalLineProbe(a, b_max, samples, best, best_b)

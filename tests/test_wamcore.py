@@ -209,14 +209,6 @@ class TestOuterKernel:
             away = np.abs(part(pointwise)) > clear
             assert np.array_equal(np.sign(part(pointwise))[away], np.sign(part(table))[away])
 
-    def test_weight_stack_matches_single_sums(self):
-        sums = integer_wam_sums(factor(2**3 * 3 * 5**2 * 7))
-        weights = np.stack([sums.numerator.weights, sums.denominator.weights])
-        both = sums.denominator.outer(1j * self.IM, self.RE, weights=weights)
-        assert both.shape == (2, self.IM.size, self.RE.size)
-        for table, es in zip(both, (sums.numerator, sums.denominator)):
-            assert np.array_equal(table, es.outer(1j * self.IM, self.RE))
-
     @given(factorizations(min_m=2), st.floats(-2.0, 4.0))
     def test_line_matches_pointwise_to_large_height(self, f, a):
         es = integer_wam_sums(f).numerator
@@ -237,8 +229,8 @@ class TestOuterKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             pointwise = sums.denominator(re[None, :] + 1j * self.IM[:, None])
         assert not np.all(np.isfinite(pointwise))
-        weights = np.stack([sums.numerator.weights, sums.denominator.weights])
-        num, den = sums.denominator.outer(1j * self.IM, re, weights=weights)
+        num = sums.numerator.outer(1j * self.IM, re)
+        den = sums.denominator.outer(1j * self.IM, re)
         assert np.all(np.isfinite(num)) and np.all(np.isfinite(den))
         with mpmath.workdps(30):
             for i in range(0, self.IM.size, 8):
