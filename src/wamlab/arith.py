@@ -222,11 +222,10 @@ def _factor_uncached(n: int, budget: int) -> Factorization:
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
-    if rem > 1:
-        if rem < (1 << 24) or is_prime(rem):
-            counts[rem] = counts.get(rem, 0) + 1
-        else:
-            _split(rem, counts, budget)
+    if rem >= 1 << 24:  # _split tests primality first
+        _split(rem, counts, budget)
+    elif rem > 1:
+        counts[rem] = counts.get(rem, 0) + 1
     items = sorted(counts.items())
     out = Factorization(n, tuple(p for p, _ in items), tuple(e for _, e in items))
     if math.prod(p**e for p, e in items) != n:

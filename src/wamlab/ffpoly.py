@@ -12,6 +12,10 @@ low-order coefficients differ by x^{n-k} * R with small R, giving a
 triple whose middle term has a high-multiplicity factor x.  Mason's
 inequality pins wam(abc, 1) <= 3 for every valid triple, a theorem here
 rather than a conjecture.
+
+Every power modulo a fixed f, in poly_factor and in is_irreducible, runs
+in one numpy kernel (_ModRing), which tabulates x^(n+j) mod f; both
+functions therefore raise ValueError above degree MAX_FACTOR_DEGREE = 64.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .arith import factor, is_prime, mobius
 from .wamcore import (
@@ -136,19 +142,54 @@ def _lgcd(a, b, p):
     return _lmonic(a, p)
 
 
-def _lpowmod(a, e, mod, p):
-    result = [1]
-    a = _ldivmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _ldivmod(_lmul(result, a, p), mod, p)[1]
-        a = _ldivmod(_lmul(a, a, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
 def _lderiv(a, p):
     return _lstrip([(i * c) % p for i, c in enumerate(a)][1:])
+
+
+class _ModRing:
+    """Arithmetic in F_p[x]/(f) for one fixed f of degree n.
+
+    Residues are int64 vectors of length n, lowest degree first.  f is made
+    monic once, and R[j] = x^(n+j) mod f (j = 0..n-2) is tabulated once, so
+    a product c = a*b (np.convolve, then mod p) folds back to degree < n as
+    (c[:n] + c[n:] @ R) mod p.  int64 bound: every sum in the convolution
+    and in the fold is at most n*(p-1)^2 + p < 2^38 for n <= 64, p <= 2^16.
+    R holds n^2 entries, so n > MAX_FACTOR_DEGREE raises ValueError.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        if n > MAX_FACTOR_DEGREE:
+            raise ValueError(f"degree {n} exceeds {MAX_FACTOR_DEGREE}")
+        self.f, self.p, self.n = _lmonic(f, p), p, n
+        self.R = np.zeros((max(n - 1, 0), n), dtype=np.int64)
+        if n > 1:
+            self.R[0] = [-c % p for c in self.f[:n]]
+        for j in range(1, n - 1):  # x^(n+j) = x * x^(n+j-1)
+            self.R[j, 1:] = self.R[j - 1, :-1]
+            self.R[j] = (self.R[j] + self.R[j - 1, -1] * self.R[0]) % p
+
+    def residue(self, a: list[int]) -> np.ndarray:
+        """a mod f, for a coefficient list of any length."""
+        r = _ldivmod(a, self.f, self.p)[1]
+        return np.array(r + [0] * (self.n - len(r)), dtype=np.int64)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = np.convolve(a, b) % self.p
+        return (c[: self.n] + np.dot(c[self.n :], self.R)) % self.p
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e for e >= 1, by left-to-right square-and-multiply."""
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+def _llist(a: np.ndarray) -> list[int]:
+    return _lstrip(a.tolist())
 
 
 @dataclass(frozen=True)
@@ -329,19 +370,21 @@ def _distinct_degree(coeffs: list[int], q: int):
     """Split a monic squarefree poly into (product, degree-class) parts."""
     out = []
     f = list(coeffs)
-    h = _ldivmod([0, 1], f, q)[1]  # x mod f
+    ring = _ModRing(f, q)
+    h = ring.residue([0, 1])  # x^(q^d) mod f
     d = 0
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
             out.append((f, len(f) - 1))
             break
-        h = _lpowmod(h, q, f, q)
-        g = _lgcd(_lsub(h, [0, 1], q), f, q)
+        h = ring.pow(h, q)
+        g = _lgcd(_lsub(_llist(h), [0, 1], q), f, q)
         if len(g) > 1:
             out.append((g, d))
             f = _ldivmod(f, g, q)[0]
-            h = _ldivmod(h, f, q)[1]
+            ring = _ModRing(f, q)
+            h = ring.residue(_llist(h))
     return out
 
 
@@ -357,6 +400,7 @@ def _equal_degree(coeffs: list[int], d: int, q: int, rng: random.Random):
     n = len(coeffs) - 1
     if n == d:
         return [coeffs]
+    ring = _ModRing(coeffs, q)
     while True:
         r = [rng.randrange(q) for _ in range(n)]
         _lstrip(r)
@@ -365,16 +409,15 @@ def _equal_degree(coeffs: list[int], d: int, q: int, rng: random.Random):
         t = _lgcd(r, coeffs, q)
         if 1 < len(t) <= n:  # lucky: r shares a factor
             pass
-        elif q == 2:
-            trace = list(r)
-            sq = list(r)
+        elif q == 2:  # trace r + r^2 + ... + r^(2^(d-1))
+            trace = sq = ring.residue(r)
             for _ in range(d - 1):
-                sq = _ldivmod(_lmul(sq, sq, 2), coeffs, 2)[1]
-                trace = _ladd(trace, sq, 2)
-            t = _lgcd(trace, coeffs, 2)
+                sq = ring.mul(sq, sq)
+                trace = (trace + sq) % 2
+            t = _lgcd(_llist(trace), coeffs, 2)
         else:
-            u = _lpowmod(r, (q**d - 1) // 2, coeffs, q)
-            t = _lgcd(_lsub(u, [1], q), coeffs, q)
+            u = ring.pow(ring.residue(r), (q**d - 1) // 2)
+            t = _lgcd(_lsub(_llist(u), [1], q), coeffs, q)
         if not 0 < len(t) - 1 < n:
             continue
         rest = _ldivmod(coeffs, t, q)[0]
@@ -410,30 +453,29 @@ def poly_factor(poly: FpPoly) -> PolyFactorization:
 
 
 def is_irreducible(poly: FpPoly) -> bool:
-    """Deterministic irreducibility test (Frobenius order conditions)."""
+    """Deterministic irreducibility test (Frobenius order conditions).
+
+    Degrees above MAX_FACTOR_DEGREE raise ValueError.
+    """
     n = poly.degree
     if n < 1:
         return False
-    q = poly.characteristic
-    coeffs = list(poly.coefficients)
-    if not poly.is_monic:
-        coeffs = _lmonic(coeffs, q)
     if n == 1:
         return True
-    powers = {}
-    need = {n // r for r in {p for p, _ in factor(n).pairs()}}
-    h = _ldivmod([0, 1], coeffs, q)[1]
+    q = poly.characteristic
+    ring = _ModRing(list(poly.coefficients), q)
+    need = {n // r for r in factor(n).primes}
+    powers = []
+    h = ring.residue([0, 1])
     for i in range(1, n + 1):
-        h = _lpowmod(h, q, coeffs, q)
+        h = ring.pow(h, q)
         if i in need:
-            powers[i] = h
-    if _lstrip(_lsub(h, [0, 1], q)):
+            powers.append(h)
+    if _llist(h) != [0, 1]:
         return False
-    for d, hd in powers.items():
-        g = _lgcd(_lsub(hd, [0, 1], q), coeffs, q)
-        if len(g) != 1:
-            return False
-    return True
+    return all(
+        len(_lgcd(_lsub(_llist(hd), [0, 1], q), ring.f, q)) == 1 for hd in powers
+    )
 
 
 def count_irreducibles(q: int, n: int) -> int:
@@ -519,7 +561,8 @@ def cyclotomic_wam_formula(p: int, s: complex) -> WamEvaluation:
 
     The middle entry splits as (x - 1) times an irreducible of degree
     p - 1, so wam(abc, s) = (p + p^s + 1) / (p^s + 2); no polynomial
-    factorization is performed.
+    factorization is performed.  For Re s > 0 the numerator and the
+    denominator are both divided by p^s, so p^s never overflows.
 
     >>> cyclotomic_wam_formula(5, 0).value
     (2.3333333333333335+0j)
@@ -527,54 +570,17 @@ def cyclotomic_wam_formula(p: int, s: complex) -> WamEvaluation:
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     z = as_complex(s)
-    ps = cmath.exp(z * math.log(p))
-    num = p + ps + 1
-    den = ps + 2
-    scale = math.exp(z.real * math.log(p)) + 2.0
+    if z.real > 0:
+        inv = cmath.exp(-z * math.log(p))  # p^-s
+        num, den = (p + 1) * inv + 1, 2 * inv + 1
+        scale = 2.0 * abs(inv) + 1.0
+    else:
+        ps = cmath.exp(z * math.log(p))
+        num, den = p + ps + 1, ps + 2
+        scale = abs(ps) + 2.0
     if abs(den) < POLE_RTOL * scale:
         return WamEvaluation(z, num, den, None)
     return WamEvaluation(z, num, den, num / den)
-
-
-# ----------------------------------------------------------------------
-# pigeonhole construction over F_2 fast path: polynomials as bit masks
-
-
-def _gf2_mod(a: int, f: int, df: int) -> int:
-    while a and a.bit_length() - 1 >= df:
-        a ^= f << (a.bit_length() - 1 - df)
-    return a
-
-
-def _gf2_mulmod(a: int, b: int, f: int, df: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return _gf2_mod(r, f, df)
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b, b.bit_length() - 1)
-    return a
-
-
-def _gf2_irreducible(f: int, n: int, need: frozenset[int]) -> bool:
-    h = 2  # the polynomial x
-    powers = {}
-    for i in range(1, n + 1):
-        h = _gf2_mulmod(h, h, f, n)
-        if i in need:
-            powers[i] = h
-    if h != 2:
-        return False
-    for d in need - {n}:
-        if _gf2_gcd(powers[d] ^ 2, f) != 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -647,9 +653,6 @@ def pigeonhole_triple(q: int, n: int) -> PigeonholeConstruction:
             "no collision is guaranteed at this size"
         )
 
-    prime_divs = {p for p, _ in factor(n).pairs()}
-    need = frozenset({n} | {n // r for r in prime_divs})
-
     buckets_scanned = 0
     tested = 0
     seen = 0
@@ -661,12 +664,7 @@ def pigeonhole_triple(q: int, n: int) -> PigeonholeConstruction:
             if sum(coeffs) % q == 0:  # f(1) = 0 makes x-1 a factor
                 continue
             tested += 1
-            if q == 2:
-                f_int = sum(c << i for i, c in enumerate(coeffs))
-                ok = _gf2_irreducible(f_int, n, need)
-            else:
-                ok = is_irreducible(FpPoly(q, coeffs))
-            if ok:
+            if is_irreducible(FpPoly(q, coeffs)):
                 seen += 1
                 hits.append(FpPoly(q, coeffs))
                 if len(hits) == 2:

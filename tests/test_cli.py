@@ -90,6 +90,12 @@ class TestScalarCommands:
         assert code == 0
         assert abs(float(body_lines(out)[0]) - 11 / 7) < 1e-12
 
+    @pytest.mark.parametrize("s,value", [("2000", 1.0), ("-2000", 3.0), ("700,30", 1.0)])
+    def test_cyclo_large_exponents(self, s, value):
+        code, out, err = run(["cyclo", "--p", "5", "--s", s])
+        assert code == 0, err
+        assert abs(float(body_lines(out)[0]) - value) < 1e-12
+
     def test_json_scalar(self):
         code, out, _ = run(["wam", "72", "--s", "1", "--format", "json"])
         assert code == 0

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -24,6 +25,7 @@ from wamlab.ffpoly import (
     poly_wam,
     validate_poly_triple,
 )
+from wamlab.ffpoly import _ldivmod, _llist, _lmul, _ModRing
 
 FIELD_SIZES = (2, 3, 5, 7, 13)
 
@@ -36,6 +38,34 @@ def all_monic(q, n):
     """All monic degree-n polynomials over F_q."""
     for lower in itertools.product(range(q), repeat=n):
         yield FpPoly(q, tuple(lower) + (1,))
+
+
+def schoolbook_powmod(a, e, f, p):
+    """a^e mod f by right-to-left square-and-multiply on coefficient lists."""
+    result = [1]
+    a = _ldivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _ldivmod(_lmul(result, a, p), f, p)[1]
+        a = _ldivmod(_lmul(a, a, p), f, p)[1]
+        e >>= 1
+    return result
+
+
+def sympy_factors(poly):
+    """(unit, sorted (monic coefficients, exponent)) by sympy's factor_list."""
+    sympy = pytest.importorskip("sympy")
+    q = poly.characteristic
+    unit, pairs = sympy.Poly(
+        poly.coefficients[::-1], sympy.Symbol("x"), modulus=q
+    ).factor_list()
+    factors = []
+    for g, e in pairs:
+        coeffs = [int(c) % q for c in g.all_coeffs()[::-1]]
+        unit = unit * pow(coeffs[-1], e, q)
+        inv = pow(coeffs[-1], -1, q)
+        factors.append((tuple(c * inv % q for c in coeffs), e))
+    return int(unit) % q, sorted(factors, key=lambda fe: (len(fe[0]), fe[0]))
 
 
 def oracle_irreducible(poly):
@@ -206,6 +236,26 @@ class TestPolyFactor:
         second = poly_factor(poly)
         assert first == second
 
+    def test_matches_sympy_at_large_characteristic(self):
+        q = 65521
+        rng = random.Random(65521)
+
+        def of_degree(n, lead):
+            return FpPoly(q, tuple(rng.randrange(q) for _ in range(n)) + (lead,))
+
+        polys = [of_degree(n, rng.randrange(1, q)) for n in (17, 33, 48, 64)]
+        for degrees in ((1, 1, 3, 3, 12), (2, 2, 5, 9, 20), (4, 4, 4, 30)):
+            parts = [of_degree(d, 1) for d in degrees]
+            poly = FpPoly(q, (rng.randrange(1, q),))
+            for part in parts + parts[:2]:  # the first two twice
+                poly = poly * part
+            polys.append(poly)
+        for poly in polys:
+            pf = poly_factor(poly)
+            unit, factors = sympy_factors(poly)
+            assert pf.unit == unit
+            assert [(p.coefficients, e) for p, e in pf.factors] == factors
+
     def test_frobenius_power_has_single_root_factor(self):
         # x^9 + 2 = (x + 2)^9 over F_3 since cubing is a field homomorphism.
         poly = FpPoly.x_power(3, 9) + FpPoly.parse("2@3")
@@ -238,6 +288,38 @@ class TestIrreducibility:
         assert is_irreducible(FpPoly.parse("2,2,2@3")) == is_irreducible(
             FpPoly.parse("1,1,1@3")
         )
+
+    def test_degree_cap(self):
+        with pytest.raises(ValueError):
+            is_irreducible(FpPoly.x_power(2, 65) + FpPoly.one(2))
+
+
+class TestModRing:
+    @given(
+        st.sampled_from((2, 3, 65521)),
+        st.integers(1, 64),
+        st.integers(1, 1 << 40),
+        st.data(),
+    )
+    def test_pow_matches_schoolbook(self, q, n, e, data):
+        coeff = st.integers(0, q - 1)
+        f = data.draw(st.lists(coeff, min_size=n, max_size=n))
+        f.append(data.draw(st.integers(1, q - 1)))  # non-monic too
+        a = data.draw(st.lists(coeff, max_size=2 * n + 2))
+        ring = _ModRing(f, q)
+        assert _llist(ring.pow(ring.residue(a), e)) == schoolbook_powmod(a, e, f, q)
+
+    def test_int64_worst_case(self):
+        # Every coefficient p - 1: the middle convolution sum reaches its
+        # bound n (p - 1)^2, which must come out exact, not wrapped.
+        p, n = 65521, 64
+        top = [p - 1] * n
+        f = [p - 1] * (n + 1)
+        ring = _ModRing(f, p)
+        a = ring.residue(top)
+        assert int(np.convolve(a, a)[n - 1]) == n * (p - 1) ** 2
+        assert _llist(ring.mul(a, a)) == _ldivmod(_lmul(top, top, p), f, p)[1]
+        assert _llist(ring.pow(a, p**2 + 7)) == schoolbook_powmod(top, p**2 + 7, f, p)
 
 
 class TestCountIrreducibles:
@@ -384,6 +466,15 @@ class TestCyclotomicFormula:
         ev = cyclotomic_wam_formula(p, s)
         assert ev.is_pole
         assert ev.value is None
+
+    @pytest.mark.parametrize("s", [2000, -2000, complex(700, 30), complex(3, 4)])
+    def test_large_exponents_match_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ps = mpmath.power(5, mpmath.mpc(s))
+            want = complex((5 + ps + 1) / (ps + 2))
+        got = cyclotomic_wam_formula(5, s).value
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_rejects_composite_characteristic(self):
         for p in (1, 4, 6, 9):
