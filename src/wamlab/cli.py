@@ -1,9 +1,10 @@
 """Command-line surface: every tabular or gridded artifact as CSV or JSON.
 
-All outputs are deterministic for a fixed argv + seed: ASCII, LF line
-endings, shortest-repr floats, and a '#' metadata header (tool version,
-natural-log contract, caps, seed) on every CSV.  Exit codes: 0 success,
-1 validation/usage error, 2 exhausted budget or failed convergence.
+All outputs are deterministic for a fixed argv: ASCII, LF line endings,
+shortest-repr floats, and a '#' metadata header (tool version,
+natural-log contract, caps) on every CSV.  Exit codes: 0 success,
+1 validation/usage error, 2 exhausted budget, oversized grid or failed
+convergence.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ class _Output:
             "tool": f"wamlab {__version__}",
             "command": command,
             "log_base": "natural",
-            "seed": args.seed,
         }
         self.header: list[str] | None = None
         self.rows: list[list] = []
@@ -378,7 +378,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0, help="recorded in metadata")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
@@ -457,6 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         EnumerationBudget,
         QuadratureNoConvergence,
         BoundaryZero,
+        MemoryError,
     ) as exc:
         print(f"wamlab: {exc}", file=sys.stderr)
         return 2

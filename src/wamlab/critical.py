@@ -57,10 +57,10 @@ def _log_ratios(f: Factorization) -> np.ndarray:
     return np.log(logs[:-1]) - math.log(logs[-1])
 
 
-def _g(f: Factorization, a: float) -> float:
-    """The bracketing function g(a) = sum_{k<m} (ln p_k / ln p_m)^a."""
+def _g(f: Factorization, a: float, weights=1.0) -> float:
+    """sum_{k<m} w_k (ln p_k / ln p_m)^a; w = 1 is the bracketing function g."""
     with np.errstate(over="ignore"):
-        return float(np.sum(np.exp(a * _log_ratios(f))))
+        return float(np.sum(weights * np.exp(a * _log_ratios(f))))
 
 
 def is_wam_constant(f: Factorization) -> bool:
@@ -113,25 +113,22 @@ def denominator_gap(f: Factorization, a: float) -> float:
     This is the triangle-inequality margin keeping f(s) nonzero on the
     whole vertical line Re(s) = a.
     """
-    logs = [math.log(p) for p in f.primes]
-    top = math.exp(a * math.log(logs[-1]))
-    rest = sum(math.exp(a * math.log(h)) for h in logs[:-1])
-    return top - rest
+    terms = [math.log(p) ** a for p in f.primes]
+    return terms[-1] - sum(terms[:-1])
 
 
 def wam_upper(f: Factorization, a: float) -> float:
     """Upper bound for |wam(n, a+ib)| over all b, valid for a > a_crit.
 
-    Bound: sum_k e_k (ln p_k)^a divided by the denominator gap.  It
+    Bound: sum_k e_k (ln p_k)^a divided by the denominator gap.  Both
+    are divided by (ln p_m)^a, so the bound is finite for every a.  It
     decreases in a and converges to e_m as a -> +inf.
     """
     if not f.primes:
         raise EmptyFactorization("wam_upper is undefined for n = 1")
-    gap = denominator_gap(f, a)
+    gap = 1.0 - _g(f, a)
     if gap <= 0.0:
         raise BelowCritical(
-            f"a = {a} is at or below the critical abscissa (gap = {gap})"
+            f"a = {a} is at or below the critical abscissa (1 - g(a) = {gap})"
         )
-    logs = [math.log(p) for p in f.primes]
-    num = sum(e * math.exp(a * math.log(h)) for h, e in zip(logs, f.exponents))
-    return num / gap
+    return (f.exponents[-1] + _g(f, a, np.array(f.exponents[:-1]))) / gap

@@ -20,9 +20,7 @@ functions therefore raise ValueError above degree MAX_FACTOR_DEGREE = 64.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,13 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arith import factor, is_prime, mobius
-from .wamcore import (
-    POLE_RTOL,
-    WamEvaluation,
-    as_complex,
-    evaluate_wam,
-    wam_sums,
-)
+from .wamcore import WamEvaluation, evaluate_wam, wam_sums
 
 MAX_CHARACTERISTIC = 1 << 16
 MAX_FACTOR_DEGREE = 64
@@ -561,26 +553,15 @@ def cyclotomic_wam_formula(p: int, s: complex) -> WamEvaluation:
 
     The middle entry splits as (x - 1) times an irreducible of degree
     p - 1, so wam(abc, s) = (p + p^s + 1) / (p^s + 2); no polynomial
-    factorization is performed.  For Re s > 0 the numerator and the
-    denominator are both divided by p^s, so p^s never overflows.
+    factorization is performed.  That is the wam of heights (1, p, 1) with
+    multiplicities (p, 1, 1), evaluated like every other wam.
 
     >>> cyclotomic_wam_formula(5, 0).value
     (2.3333333333333335+0j)
     """
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    z = as_complex(s)
-    if z.real > 0:
-        inv = cmath.exp(-z * math.log(p))  # p^-s
-        num, den = (p + 1) * inv + 1, 2 * inv + 1
-        scale = 2.0 * abs(inv) + 1.0
-    else:
-        ps = cmath.exp(z * math.log(p))
-        num, den = p + ps + 1, ps + 2
-        scale = abs(ps) + 2.0
-    if abs(den) < POLE_RTOL * scale:
-        return WamEvaluation(z, num, den, None)
-    return WamEvaluation(z, num, den, num / den)
+    return evaluate_wam(wam_sums([1.0, p, 1.0], [p, 1, 1]), s)
 
 
 @dataclass(frozen=True)

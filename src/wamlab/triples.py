@@ -24,9 +24,12 @@ from .arith import (
     factor,
 )
 from .wamcore import integer_wam_sums
-from .zeros import SearchRegion
+from .zeros import SearchRegion, _axis_size
 
 DEFAULT_HEATMAP_CAP = 1e6
+#: Most cells a heatmap may have.  The grid and its temporaries take 48
+#: bytes per cell, so a heatmap at the cap peaks near 260 MB resident.
+_HEATMAP_MAX_CELLS = 1 << 22
 GENERATE_C_MAX_LIMIT = 10**6
 #: Relative slack for the vectorized quality prefilter; survivors are
 #: re-tested exactly before being kept.
@@ -214,14 +217,13 @@ def em_histogram(triples: Iterable[AbcTriple]) -> dict[int, int]:
     return dict(sorted(Counter(t.e_m for t in triples).items()))
 
 
-def _symmetric_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Uniform grid on [lo, hi] built symmetrically about the midpoint.
+def _symmetric_axis(lo: float, hi: float, step: float, n: int) -> np.ndarray:
+    """Uniform grid of n points on [lo, hi], symmetric about the midpoint.
 
     Using integer indices around the exact center makes the axis (and any
     grid built on it) bit-exactly symmetric under reflection, so conjugate
     symmetry of |wam| survives in floating point.
     """
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     center = 0.5 * (lo + hi)
     idx = np.arange(n) - 0.5 * (n - 1)
     return center + step * idx
@@ -251,14 +253,18 @@ def max_wam_heatmap(
     log10(cap); the cap is recorded on the grid.  Each triple's grid is one
     separable exponential-sum product (ExpSum.outer).  |wam| is conjugate
     symmetric, so when the im axis is symmetric about 0 only the rows with
-    im >= 0 are computed and the rest are their exact mirror image.
+    im >= 0 are computed and the rest are their exact mirror image.  Over
+    _HEATMAP_MAX_CELLS cells, MemoryError is raised before any axis is built.
     """
     if not triples:
         raise ValueError("heatmap needs at least one triple")
     if cap <= 0:
         raise ValueError("cap must be positive")
-    re_axis = _symmetric_axis(region.re_min, region.re_max, region.grid_step)
-    im_axis = _symmetric_axis(region.im_min, region.im_max, region.grid_step)
+    step = region.grid_step
+    n_re = _axis_size(region.re_min, region.re_max, step, _HEATMAP_MAX_CELLS)
+    n_im = _axis_size(region.im_min, region.im_max, step, _HEATMAP_MAX_CELLS // n_re)
+    re_axis = _symmetric_axis(region.re_min, region.re_max, step, n_re)
+    im_axis = _symmetric_axis(region.im_min, region.im_max, step, n_im)
     half = im_axis.size // 2 if np.all(im_axis + im_axis[::-1] == 0.0) else 0
     best = np.zeros((im_axis.size - half, re_axis.size))
     for t in triples:

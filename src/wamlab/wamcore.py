@@ -48,9 +48,10 @@ class ExpSum:
     """f(s) = sum_k w_k * exp(r_k * s), real weights w and rates r.
 
     Both the numerator and denominator of wam have this form (with
-    r_k = ln ln p_k), as do their s-derivatives, so root finding, contour
-    integration and grid sweeps all reduce to evaluating these sums.
-    Accepts a scalar or any ndarray of points and evaluates vectorized.
+    r_k = ln ln p_k), as do their s-derivatives (weights w_k r_k).  The one
+    pointwise evaluator is `shifted_terms`: the terms divided by the largest
+    term modulus, which cannot overflow and leave ratios of sums on the
+    same rates (wam, f/f', f'/f) unchanged.
     """
 
     __slots__ = ("weights", "rates")
@@ -61,38 +62,35 @@ class ExpSum:
         if self.weights.shape != self.rates.shape or self.weights.ndim != 1:
             raise ValueError("weights and rates must be parallel 1-d sequences")
 
+    def shifted_terms(self, s):
+        """(exp(r_k s - sigma), sigma), sigma = max_k r_k Re s, for any array s;
+        the terms get a trailing axis of length m and the dtype of s."""
+        exponents = np.multiply.outer(s, self.rates)
+        a = np.real(s)  # r_k a is monotone in r_k: its largest value is at an end
+        sigma = np.maximum(a * self.rates.max(), a * self.rates.min())
+        exponents.real -= sigma[..., None]
+        return np.exp(exponents), sigma
+
     def __call__(self, s):
-        S = np.asarray(s, dtype=complex)
-        vals = np.exp(S[..., None] * self.rates) @ self.weights.astype(complex)
-        if np.ndim(s) == 0:
-            return complex(vals)
-        return vals
+        """f(s) itself, unshifted; it overflows once max_k r_k Re s > 709."""
+        terms, sigma = self.shifted_terms(np.asarray(s, dtype=complex))
+        vals = (terms @ self.weights) * np.exp(sigma)
+        return complex(vals) if np.ndim(s) == 0 else vals
 
     def outer(self, u, v):
         """f(u[i] + v[j]) for 1-d u and v, as one matrix product.
 
         exp(r(u + v)) = exp(ru) exp(rv), so the table is
         (exp(u ⊗ r) diag w) @ exp(v ⊗ r)ᵀ: (len u + len v)·m exponentials
-        instead of len u·len v·m.  Column j comes divided by
-        exp(max_k r_k Re v_j) (log-sum-exp): it cannot overflow, and the signs
-        of Re and Im and the ratio of two sums on the same rates are kept.
+        instead of len u·len v·m.  The v factor is shifted terms, so column
+        j comes divided by exp(max_k r_k Re v_j): with the real parts in v it
+        cannot overflow, and the signs of Re and Im and the ratio of two
+        sums on the same rates are kept.
         """
-        v_terms = np.multiply.outer(np.asarray(v), self.rates)
-        v_terms -= v_terms.real.max(axis=1, keepdims=True)
         u_terms = np.exp(np.multiply.outer(np.asarray(u, dtype=complex), self.rates))
+        v_terms = self.shifted_terms(np.asarray(v))[0]
         # Both factors complex, so numpy hands the product to BLAS (zgemm).
-        return (u_terms * self.weights) @ np.exp(v_terms).T.astype(complex)
-
-    def derivative(self) -> "ExpSum":
-        return ExpSum(self.weights * self.rates, self.rates)
-
-    def abs_at(self, a):
-        """sum_k |w_k| exp(r_k * a) for real a: the term-magnitude scale."""
-        A = np.asarray(a, dtype=float)
-        vals = np.exp(A[..., None] * self.rates) @ np.abs(self.weights)
-        if np.ndim(a) == 0:
-            return float(vals)
-        return vals
+        return (u_terms * self.weights) @ v_terms.T.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,8 @@ def integer_wam_sums(f: Factorization) -> WamSums:
 
 @dataclass(frozen=True)
 class WamEvaluation:
-    """One evaluation of wam at s.  `value is None` marks a pole."""
+    """One evaluation of wam at s.  `value is None` marks a pole.  numerator
+    and denominator are in units of the largest term modulus max_k |(ln p_k)^s|."""
 
     s: complex
     numerator: complex
@@ -142,10 +141,10 @@ class WamEvaluation:
 
 def evaluate_wam(sums: WamSums, s: complex) -> WamEvaluation:
     z = as_complex(s)
-    num = sums.numerator(z)
-    den = sums.denominator(z)
-    scale = sums.denominator.abs_at(z.real)
-    if abs(den) < POLE_RTOL * scale:
+    terms = sums.denominator.shifted_terms(z)[0]  # the numerator's terms too
+    num = complex(terms @ sums.numerator.weights)
+    den = complex(terms @ sums.denominator.weights)
+    if abs(den) < POLE_RTOL * float(np.abs(terms).sum()):
         return WamEvaluation(z, num, den, None)
     return WamEvaluation(z, num, den, num / den)
 

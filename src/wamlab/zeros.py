@@ -28,8 +28,9 @@ REMOVABLE_RTOL = 1e-8
 BOUNDARY_RTOL = 1e-12
 _GL_NODES_PER_PANEL = 64
 _MAX_PANELS_PER_EDGE = 64
-#: Seed-grid points evaluated per band; bounds the search's memory.
+#: Seed-grid points evaluated per band, and the widest row (two rows per band).
 _SEED_BLOCK = 1 << 20
+_SEED_ROW_MAX = _SEED_BLOCK // 2
 
 
 class BoundaryZero(RuntimeError):
@@ -47,7 +48,11 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """A rectangle in the s-plane plus the numerical knobs of the search."""
+    """A rectangle in the s-plane plus the numerical knobs of the search.
+
+    Newton stops at |f(z)| < newton_tol, with |f| in units of the largest
+    term modulus max_k |(ln p_k)^z|, as are all magnitudes the search reports.
+    """
 
     re_min: float
     re_max: float
@@ -74,7 +79,8 @@ class SearchRegion:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One polished zero of f with its pole-vs-removable classification."""
+    """One polished zero of f with its pole-vs-removable classification;
+    residual |f| and numerator_magnitude |N| are in units of max_k |(ln p_k)^s|."""
 
     location: complex
     residual: float
@@ -108,52 +114,60 @@ class ZeroSearch(Sequence):
         return iter(self.records)
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+def _axis_size(lo: float, hi: float, step: float, most: float) -> int:
+    """Number of grid points lo + k*step <= hi; MemoryError above `most`."""
+    span = (hi - lo) / step + 1e-9
+    if not span < most:
+        raise MemoryError(f"grid step {step} puts {span + 1:.4g} points on "
+                          f"[{lo}, {hi}]; at most {most} fit the memory budget")
+    return int(span) + 1
 
 
 def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     """Centers of grid cells where Re f and Im f both change sign.
 
-    The grid is evaluated in bands of at most _SEED_BLOCK points; each band
-    starts on the last row of the one before, so no cell loses a corner.
+    The grid is evaluated, and its im axis built, in bands of at most
+    _SEED_BLOCK points; each band starts on the last row of the one before,
+    so no cell loses a corner.  Rows wider than _SEED_ROW_MAX are refused.
     """
-    re = _axis(region.re_min, region.re_max, region.grid_step)
-    im = _axis(region.im_min, region.im_max, region.grid_step)
-    if re.size < 2 or im.size < 2:
+    step = region.grid_step
+    n_re = _axis_size(region.re_min, region.re_max, step, _SEED_ROW_MAX)
+    n_im = _axis_size(region.im_min, region.im_max, step, math.inf)
+    if n_re < 2 or n_im < 2:
         raise ValueError("region is smaller than one grid cell")
+    re = region.re_min + step * np.arange(n_re)
 
     def _mixed(positive):
         sign = np.where(positive, np.int8(1), np.int8(-1))
         corners = sign[:-1, :-1] + sign[:-1, 1:] + sign[1:, :-1] + sign[1:, 1:]
         return np.abs(corners) < 4
 
-    rows = max(2, _SEED_BLOCK // re.size)
+    rows = max(2, _SEED_BLOCK // n_re)
     ii, jj = [], []
-    for lo in range(0, im.size - 1, rows - 1):
-        vals = den.outer(1j * im[lo : lo + rows], re)
+    for lo in range(0, n_im - 1, rows - 1):
+        im = region.im_min + step * np.arange(lo, min(lo + rows, n_im))
+        vals = den.outer(1j * im, re)
         i, j = np.nonzero(_mixed(vals.real >= 0) & _mixed(vals.imag >= 0))
         ii.append(i + lo)
         jj.append(j)
     ii, jj = np.concatenate(ii), np.concatenate(jj)
-    return (re[jj] + 0.5 * region.grid_step) + 1j * (im[ii] + 0.5 * region.grid_step)
+    return (re[jj] + 0.5 * step) + 1j * (region.im_min + step * ii + 0.5 * step)
 
 
 def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
     """Run Newton iteration on every seed at once; split by outcome.
 
-    One exp(z ⊗ r) per iteration gives both f and f' at z; the f of each
-    step's result is also its convergence test, |f| < newton_tol.
+    One set of shifted terms per iteration gives both f and f' at z; the f
+    of each step's result is also its convergence test, |f| < newton_tol
+    in units of the largest term modulus.
     """
-    weights = den.weights.astype(complex)
-    slopes = (den.weights * den.rates).astype(complex)
+    slopes = den.weights * den.rates
     z = seeds.astype(complex)
     active = np.ones(z.shape, dtype=bool)
     for it in range(region.max_newton_iters + 1):
         idx = np.nonzero(active)[0]
-        terms = np.exp(z[idx, None] * den.rates)
-        fz = terms @ weights
+        terms = den.shifted_terms(z[idx])[0]
+        fz = terms @ den.weights
         if it:
             small = np.abs(fz) < region.newton_tol
             active[idx[small]] = False
@@ -196,18 +210,18 @@ def find_zeros_of_sums(sums: WamSums, region: SearchRegion) -> ZeroSearch:
     )
     out_of_region = int(inside.size - inside.sum())
     pts = polished[inside]
-    residuals = np.abs(den(pts)) if pts.size else np.empty(0)
+    terms = den.shifted_terms(pts)[0]  # the numerator's terms too
+    residuals = np.abs(terms @ den.weights).tolist()
+    num = np.abs(terms @ sums.numerator.weights)
+    removable = num < REMOVABLE_RTOL * (np.abs(terms) @ sums.numerator.weights)
 
     kept = _dedup(pts, residuals, 10.0 * region.newton_tol)
     dedup_dropped = int(pts.size - len(kept))
 
     records = []
     for i in kept:
-        z = complex(pts[i])
-        num_mag = abs(sums.numerator(z))
-        threshold = REMOVABLE_RTOL * sums.numerator.abs_at(z.real)
-        cls = Classification.REMOVABLE if num_mag < threshold else Classification.POLE
-        records.append(ZeroRecord(z, float(residuals[i]), num_mag, cls))
+        cls = Classification.REMOVABLE if removable[i] else Classification.POLE
+        records.append(ZeroRecord(complex(pts[i]), residuals[i], float(num[i]), cls))
     # Sort on (re, im) with re rounded to 1e-6 so that vertically stacked
     # zeros (equal re up to solver noise) come out in increasing im order.
     records.sort(key=lambda r: (round(r.location.real, 6), r.location.imag))
@@ -257,17 +271,18 @@ def _contour_integral(den: ExpSum, region: SearchRegion, panels: int) -> complex
         complex(region.re_max, region.im_max),
         complex(region.re_min, region.im_max),
     ]
-    dden = den.derivative()
+    slopes = den.weights * den.rates
     total = 0.0 + 0.0j
     for a, b in zip(corners, corners[1:] + corners[:1]):
         nodes, weights = _edge_nodes(a, b, panels)
-        fz = den(nodes)
-        floor = BOUNDARY_RTOL * den.abs_at(nodes.real)
+        terms = den.shifted_terms(nodes)[0]
+        fz = terms @ den.weights
+        floor = BOUNDARY_RTOL * (np.abs(terms) @ np.abs(den.weights))
         if np.any(np.abs(fz) < floor):
             raise BoundaryZero(
                 "denominator vanishes on the contour; jitter the rectangle"
             )
-        total += np.sum(weights * dden(nodes) / fz)
+        total += np.sum(weights * (terms @ slopes) / fz)
     return total / (2j * math.pi)
 
 
@@ -333,24 +348,24 @@ def critical_line_probe(
     a = critical_abscissa(f).a_crit
     den = integer_wam_sums(f).denominator
     step = b_max / samples
-    rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * den.abs_at(a)
-    best = math.inf
-    best_b = 0.0
+    scale = den.shifted_terms(a)[0] @ np.abs(den.weights)  # in the kernel's units
+    rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * scale
+    best, best_b = math.inf, 0.0
     chunk = 1 << 20
     for start in range(0, samples + 1, chunk):
         n = min(chunk, samples + 1 - start)
         block = math.isqrt(n - 1) + 1
         heads = start + block * np.arange(-(-n // block))
-        vals = np.abs(den.outer(a + 1j * step * heads, 1j * step * np.arange(block)))
+        vals = np.abs(den.outer(1j * step * heads, a + 1j * step * np.arange(block)))
         vals = vals.ravel()[:n]
         # Kernel and pointwise values differ by the rounding of the phases
         # r_k b and of the sum; every sample that rounding could make the
         # minimum is re-evaluated pointwise, so the result is the pointwise
         # minimum whatever the blocks.
         slack = floor * (rmax * step * (start + n) + den.rates.size)
-        for k in start + np.flatnonzero(vals <= vals.min() + slack):
-            value = abs(den(a + 1j * step * k))
-            if value < best:
-                best = value
-                best_b = float(step * k)
+        ks = start + np.flatnonzero(vals <= vals.min() + slack)
+        exact = np.abs(den(a + 1j * step * ks))
+        i = int(np.argmin(exact))
+        if exact[i] < best:
+            best, best_b = float(exact[i]), float(step * ks[i])
     return CriticalLineProbe(a, b_max, samples, best, best_b)

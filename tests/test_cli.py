@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -95,6 +96,12 @@ class TestScalarCommands:
         code, out, err = run(["cyclo", "--p", "5", "--s", s])
         assert code == 0, err
         assert abs(float(body_lines(out)[0]) - value) < 1e-12
+
+    @pytest.mark.parametrize("argv", [["30", "--s=-2000"], ["30030", "--s", "5000"]])
+    def test_wam_large_exponents(self, argv):
+        code, out, err = run(["wam", *argv])
+        assert code == 0, err
+        assert body_lines(out) == ["1.0"]
 
     def test_json_scalar(self):
         code, out, _ = run(["wam", "72", "--s", "1", "--format", "json"])
@@ -299,6 +306,26 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("wamlab:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heatmap", "--gen", "100", "--step", "1e-9"],
+            ["heatmap", "--gen", "100", "--re", "0:0.001", "--step", "1e-9"],
+            ["zeros", "30", "--step", "1e-9"],
+            ["zeros", "30", "--step", "1e-320"],
+        ],
+    )
+    def test_oversized_grids_are_refused_before_allocation(self, argv):
+        tracemalloc.start()
+        try:
+            code, _, err = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err.startswith("wamlab:")
+        assert peak < 8 * 2**20
+
     def test_usage_failures(self):
         assert run([])[0] == 1
         assert run(["factor"])[0] == 1
@@ -319,9 +346,9 @@ class TestOutputFiles:
         assert out == ""
         assert "2,3" in path.read_text()
 
-    def test_metadata_has_tool_and_seed(self, tmp_path):
-        text = run_file(tmp_path, ["factor", "72", "--seed", "17"])
+    def test_metadata_has_tool_and_log_base(self, tmp_path):
+        text = run_file(tmp_path, ["factor", "72"])
         meta = meta_lines(text)
         assert meta["tool"].startswith("wamlab")
-        assert meta["seed"] == "17"
         assert meta["log_base"] == "natural"
+        assert "seed" not in meta

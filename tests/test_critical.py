@@ -126,6 +126,18 @@ class TestTailBound:
         assert abs(wam_upper(factor(30), 50.0) - 1.0) < 1e-4
         assert abs(wam_upper(factor(72), 50.0) - 2.0) < 1e-4
 
+    @pytest.mark.parametrize("n,a", [(30030, 1000.0), (30030, 8.0), (72, 50.0)])
+    def test_matches_mpmath(self, n, a):
+        mpmath = pytest.importorskip("mpmath")
+        f = factor(n)
+        with mpmath.workdps(30):
+            terms = [mpmath.log(p) ** a for p in f.primes]
+            top = mpmath.fsum(e * t for e, t in zip(f.exponents, terms))
+            want = float(top / (terms[-1] - mpmath.fsum(terms[:-1])))
+        got = wam_upper(f, a)
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-12 * want
+
     def test_rejects_at_or_below_critical(self):
         profile = critical_abscissa(factor(30))
         for a in (profile.a_crit, profile.a_crit - 0.5, -3.0):

@@ -32,6 +32,11 @@ TWO_TERM_RATE_GAP = math.log(math.log(3) / math.log(2))
 FIRST_TWO_TERM_ZERO = complex(0.0, math.pi / TWO_TERM_RATE_GAP)
 
 
+def term_scale(es, a):
+    """sum_k |w_k| exp(r_k a) for real a: the modulus of the terms at Re s = a."""
+    return np.exp(np.multiply.outer(a, es.rates)) @ np.abs(es.weights)
+
+
 class TestIdentities:
     @given(factorizations(min_m=1, max_m=4))
     def test_s_equal_one_is_log_ratio(self, f):
@@ -96,6 +101,22 @@ class TestLargeRealLimit:
         if ratios and max(ratios) > 0.8:
             return
         assert abs(wam_at(f, 120.0).value - f.e_m) < 1e-9
+
+    @pytest.mark.parametrize(
+        "n,s",
+        [(30, -2000.0), (30030, 5000.0), (72, 700 + 30j), (72, -800 + 3j)],
+    )
+    def test_extreme_real_parts_match_mpmath(self, n, s):
+        # The terms reach exp(+-900) and beyond, far outside double range.
+        mpmath = pytest.importorskip("mpmath")
+        f = factor(n)
+        with mpmath.workdps(30):
+            terms = [mpmath.log(p) ** mpmath.mpc(s) for p in f.primes]
+            top = mpmath.fsum(e * t for e, t in zip(f.exponents, terms))
+            want = complex(top / mpmath.fsum(terms))
+        ev = wam(n, s)
+        assert abs(ev.value - want) <= 1e-13 * abs(want)
+        assert 0 < abs(ev.denominator) <= len(f.primes)
 
     def test_em_limit_helper(self):
         assert em_limit(factor(72)) == 2
@@ -170,16 +191,24 @@ class TestExpSum:
         assert abs(out[0, 0] - 2.0) < 1e-14
 
     def test_derivative_matches_difference_quotient(self):
+        # f' is the sum with weights w_k r_k, taken from the same terms.
         es = ExpSum([1.0, 3.0], [-0.4, 1.2])
-        d = es.derivative()
         s = 0.3 + 2.0j
+        terms, sigma = es.shifted_terms(s)
+        derivative = complex(terms @ (es.weights * es.rates)) * math.exp(sigma)
         h = 1e-6
         quotient = (es(s + h) - es(s - h)) / (2 * h)
-        assert abs(d(s) - quotient) < 1e-6
+        assert abs(derivative - quotient) < 1e-6
 
-    def test_abs_at(self):
-        es = ExpSum([1.0, 1.0], [0.0, 1.0])
-        assert abs(es.abs_at(2.0) - abs(es(2.0))) < 1e-14
+    @pytest.mark.parametrize("s", [2.0, -3.0 + 1.0j, 5000.0 + 7.0j, -5000.0 - 2.0j])
+    def test_shifted_terms_have_largest_modulus_one(self, s):
+        es = ExpSum([2.0, 5.0, 1.0], [math.log(math.log(p)) for p in (2, 3, 13)])
+        terms, sigma = es.shifted_terms(s)
+        assert np.all(np.isfinite(terms))
+        assert abs(np.abs(terms).max() - 1.0) < 1e-15
+        assert sigma == max(r * s.real for r in es.rates)
+        exact = [cmath.exp(r * s - sigma) for r in es.rates]
+        assert np.allclose(terms, exact, rtol=1e-12, atol=0.0)
 
 
 class TestOuterKernel:
@@ -197,14 +226,14 @@ class TestOuterKernel:
         es = integer_wam_sums(f).numerator
         table = es.outer(1j * self.IM, self.RE) * self.shift(es, self.RE)
         pointwise = es(self.RE[None, :] + 1j * self.IM[:, None])
-        assert np.all(np.abs(table - pointwise) <= 1e-12 * es.abs_at(self.RE))
+        assert np.all(np.abs(table - pointwise) <= 1e-12 * term_scale(es, self.RE))
 
     @given(factorizations(min_m=2))
     def test_shift_keeps_signs(self, f):
         es = integer_wam_sums(f).numerator
         table = es.outer(1j * self.IM, self.RE)
         pointwise = es(self.RE[None, :] + 1j * self.IM[:, None])
-        clear = 1e-9 * es.abs_at(self.RE)
+        clear = 1e-9 * term_scale(es, self.RE)
         for part in (np.real, np.imag):
             away = np.abs(part(pointwise)) > clear
             assert np.array_equal(np.sign(part(pointwise))[away], np.sign(part(table))[away])
@@ -219,7 +248,7 @@ class TestOuterKernel:
         # Each path rounds the phase r_k b to within eps |r_k| b / 2, so the
         # two may differ by eps |r_k| b: about 3.4e-11 for p = 97 at b = 1e5.
         floor = 2 * np.finfo(float).eps * np.abs(es.rates).max() * 1e5
-        assert np.all(np.abs(table.ravel() - pointwise) <= floor * es.abs_at(a))
+        assert np.all(np.abs(table.ravel() - pointwise) <= floor * term_scale(es, a))
 
     @given(factorizations(min_m=2))
     def test_shifted_rectangle_survives_extreme_real_parts(self, f):

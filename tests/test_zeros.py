@@ -27,6 +27,22 @@ from wamlab.zeros import (
 )
 
 STRIP_TO_50 = SearchRegion(re_min=-1.0, re_max=1.0, im_min=0.0, im_max=50.0)
+#: 53 * 59^2 * 61 * 67^2 * ... * 103^2: twelve primes, terms near 1e65 at a_crit.
+TWELVE_PRIMES = Factorization.from_pairs(
+    [
+        (p, 1 + i % 2)
+        for i, p in enumerate((53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103))
+    ]
+)
+#: abc of the sample triple (13573088, 349609375, 363182463).
+SAMPLE_6 = 13573088 * 349609375 * 363182463
+
+
+def newton_step(f, z):
+    """|f/f'| at z for f = sum_k (ln p_k)^s, summed directly in complex floats."""
+    rates = [math.log(math.log(p)) for p in f.primes]
+    terms = [cmath.exp(r * z) for r in rates]
+    return abs(sum(terms) / sum(r * t for r, t in zip(rates, terms)))
 
 
 def two_prime_zeros(p, q, im_max):
@@ -125,7 +141,9 @@ class TestClassification:
 class TestSearchQuality:
     @given(factorizations(min_m=2, max_m=4))
     # A zero near 11.21 + 37.59i has terms of about 3e7, where rounding
-    # alone leaves |f| near 1e-8.
+    # alone leaves the absolute |f| near 1e-8.  The residual is relative to
+    # the largest term, so it stays small there; the Newton step checks
+    # each location on an absolute scale.
     @example(Factorization.from_pairs([(53, 1), (59, 1), (61, 1), (83, 1)]))
     def test_residuals_are_small_and_locations_in_region(self, f):
         a0 = critical_abscissa(f).a_crit
@@ -134,6 +152,7 @@ class TestSearchQuality:
         for r in search.records:
             assert region.contains(r.location, slack=1e-6)
             assert r.residual < 1e-8
+            assert newton_step(f, r.location) < 1e-9 * max(1.0, abs(r.location))
 
     @given(factorizations(min_m=2, max_m=4))
     def test_no_zero_right_of_critical_abscissa(self, f):
@@ -155,6 +174,22 @@ class TestSearchQuality:
         search = find_zeros(factor(30), SearchRegion(-1.0, 2.5, 0.0, 60.0))
         keys = [(round(r.location.real, 6), r.location.imag) for r in search.records]
         assert keys == sorted(keys)
+
+    def test_finds_the_counted_zero_among_huge_terms(self):
+        f = TWELVE_PRIMES
+        a0 = critical_abscissa(f).a_crit
+        region = SearchRegion(a0 - 8.0, a0 + 0.5, 500.0, 1000.0)
+        search = find_zeros(f, region)
+        assert len(search.records) == argument_principle_count(f, region) == 1
+
+    def test_finds_a_high_zero_near_the_critical_line(self):
+        # Terms sum to about 6e4 here, and rounding the phases r_k b at
+        # height 3.3e4 alone leaves |f| near 1e-6: an absolute 1e-10 stop
+        # is out of reach, a relative one is not.
+        expected = complex(6.275788940392628, 33261.39684439615)
+        region = SearchRegion(6.26579, 6.28579, 33261.347, 33261.447, grid_step=0.005)
+        search = find_zeros(factor(SAMPLE_6), region)
+        assert any(abs(r.location - expected) < 1e-8 for r in search.records)
 
     def test_search_tallies_are_consistent(self):
         search = find_zeros(factor(30), STRIP_TO_50)
