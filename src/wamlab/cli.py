@@ -291,7 +291,7 @@ def _cmd_mersenne(args, out: _Output):
     if family.skipped:
         out.meta["skipped"] = ";".join(f"n={n}" for n, _ in family.skipped)
     rows = []
-    for t in family:
+    for t in family.triples:
         n = t.c.bit_length() - 1
         ev = wam_at(t.abc_factorization, s)
         row = [n, t.b, t.quality, t.e_m, _fmt_complex(ev.value)]

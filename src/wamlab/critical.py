@@ -57,10 +57,11 @@ def _log_ratios(f: Factorization) -> np.ndarray:
     return np.log(logs[:-1]) - math.log(logs[-1])
 
 
-def _g(f: Factorization, a: float, weights=1.0) -> float:
-    """sum_{k<m} w_k (ln p_k / ln p_m)^a; w = 1 is the bracketing function g."""
+def _g(log_ratios: np.ndarray, a: float, weights=1.0) -> float:
+    """sum_{k<m} w_k (ln p_k / ln p_m)^a from the _log_ratios; w = 1 is the
+    bracketing function g."""
     with np.errstate(over="ignore"):
-        return float(np.sum(weights * np.exp(a * _log_ratios(f))))
+        return float(np.sum(weights * np.exp(a * log_ratios)))
 
 
 def is_wam_constant(f: Factorization) -> bool:
@@ -90,9 +91,10 @@ def critical_abscissa(f: Factorization) -> CriticalProfile:
     if m == 2:
         return CriticalProfile(0.0, constant, m, e_m)
 
+    log_ratios = _log_ratios(f)
     lo, hi = -_BRACKET_START, _BRACKET_START
     for _ in range(_MAX_EXPANSIONS):
-        if _g(f, hi) < 1.0:
+        if _g(log_ratios, hi) < 1.0:
             break
         hi *= 2.0
     else:
@@ -100,7 +102,7 @@ def critical_abscissa(f: Factorization) -> CriticalProfile:
     # g(lo) > 1 is automatic for m >= 3: g decreases and g(0) = m - 1 >= 2.
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if _g(f, mid) > 1.0:
+        if _g(log_ratios, mid) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -126,9 +128,10 @@ def wam_upper(f: Factorization, a: float) -> float:
     """
     if not f.primes:
         raise EmptyFactorization("wam_upper is undefined for n = 1")
-    gap = 1.0 - _g(f, a)
+    log_ratios = _log_ratios(f)
+    gap = 1.0 - _g(log_ratios, a)
     if gap <= 0.0:
         raise BelowCritical(
             f"a = {a} is at or below the critical abscissa (1 - g(a) = {gap})"
         )
-    return (f.exponents[-1] + _g(f, a, np.array(f.exponents[:-1]))) / gap
+    return (f.exponents[-1] + _g(log_ratios, a, np.array(f.exponents[:-1]))) / gap

@@ -36,11 +36,18 @@ class EmptyFactorization(ValueError):
     """wam is undefined for n = 1 (no prime factors, 0/0 at every s)."""
 
 
+#: Largest |Re s| and |Im s| that as_complex accepts.  Every rate r_k = ln h_k
+#: of a positive double height lies in [-745, 710], so r_k s and its shift by
+#: max_k r_k Re s stay below 1455 * 1e305 and finite, whatever the factors.
+_S_MAX = 1e305
+
+
 def as_complex(s) -> complex:
-    """Validate and coerce an evaluation point; NaN/inf are rejected."""
+    """Validate and coerce an evaluation point; NaN, inf and points with
+    |Re s| or |Im s| above 1e305 (where r_k s could overflow) are rejected."""
     z = complex(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"evaluation point must be finite, got {z}")
+    if not (abs(z.real) <= _S_MAX and abs(z.imag) <= _S_MAX):
+        raise ValueError(f"evaluation point needs |Re s|, |Im s| <= {_S_MAX:g}, got {z}")
     return z
 
 

@@ -180,20 +180,43 @@ def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
     return z[converged], int(converged.sum()), int(active.sum())
 
 
-def _dedup(points: np.ndarray, residuals: np.ndarray, radius: float):
-    """Greedy clustering: within radius, keep the smaller residual."""
-    order = np.lexsort((points.imag, points.real))
+def _dedup(points: np.ndarray, residuals, radius: float) -> list[int]:
+    """Greedy clustering: within radius, keep the smaller residual.
+
+    Points are visited in (re, im) order.  Each merges into the first kept
+    slot whose point lies within radius, and replaces that point when its
+    residual is smaller; otherwise it opens a new slot.  Slots sit in grid
+    cells of size radius, so a point meets only the slots in the cells
+    spanned by re +- radius and im +- radius.  floor(v / radius) is monotone
+    in v, so no slot within radius is missed.
+    """
+
+    def cell(v: float) -> int:
+        return math.floor(v / radius)
+
+    pts = points.tolist()
     kept: list[int] = []
-    for i in order:
-        merged = False
-        for j, k in enumerate(kept):
-            if abs(points[i] - points[k]) < radius:
-                if residuals[i] < residuals[k]:
-                    kept[j] = i
-                merged = True
-                break
-        if not merged:
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i in np.lexsort((points.imag, points.real)).tolist():
+        z = pts[i]
+        near = [
+            j
+            for x in range(cell(z.real - radius), cell(z.real + radius) + 1)
+            for y in range(cell(z.imag - radius), cell(z.imag + radius) + 1)
+            for j in cells.get((x, y), ())
+            if abs(z - pts[kept[j]]) < radius
+        ]
+        if near:
+            j = min(near)
+            if residuals[i] >= residuals[kept[j]]:
+                continue
+            old = pts[kept[j]]
+            cells[cell(old.real), cell(old.imag)].remove(j)
+            kept[j] = i
+        else:
+            j = len(kept)
             kept.append(i)
+        cells.setdefault((cell(z.real), cell(z.imag)), []).append(j)
     return kept
 
 

@@ -287,6 +287,8 @@ class TestExitCodes:
             ["cyclo", "--p", "4", "--s", "1"],
             ["poly-triple", "--q", "2", "--n", "20"],
             ["critical-line", "6", "--bmax", "100", "--samples", "10"],
+            ["wam", "1000003", "--s=-1e308"],
+            ["cyclo", "--p", str(2**127 - 1), "--s", "1e306"],
         ],
     )
     def test_validation_failures(self, argv):

@@ -11,6 +11,7 @@ import pytest
 from conftest import run_with_blas_threads
 from wamlab.arith import factor, radical
 from wamlab.triples import (
+    GENERATE_C_MAX_LIMIT,
     AbcTriple,
     NotATriple,
     NotCoprime,
@@ -144,7 +145,18 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_triples(1, 1.0)
         with pytest.raises(ValueError):
-            generate_triples(10**6 + 1, 1.0)
+            generate_triples(GENERATE_C_MAX_LIMIT + 1, 1.0)
+
+    def test_exact_hit_counts_match_published_tables(self):
+        # abc-hits (rad(abc) < c) below 10^4 and 10^5: 120 and 418 in the
+        # published tables (B. de Smit's ABC@Home counts; OEIS A147302).
+        hits = [
+            t.c
+            for t in generate_triples(10**5, 1.0)
+            if radical(t.abc_factorization) < t.c
+        ]
+        assert sum(c < 10**4 for c in hits) == 120
+        assert sum(c < 10**5 for c in hits) == 418
 
     def test_multiplicity_never_reaches_four_at_scale(self):
         # Mirror of the three-term bound: the weighted multiplicity of a*b*c

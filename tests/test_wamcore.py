@@ -161,6 +161,21 @@ class TestDomain:
         with pytest.raises(ValueError):
             wam(72, s)
 
+    @pytest.mark.parametrize("s", [-1e308, 1e306, complex(0, 2e305), complex(1, -1e308)])
+    def test_rejects_points_whose_exponents_could_overflow(self, s):
+        with pytest.raises(ValueError):
+            wam(1000003, s)
+
+    @pytest.mark.parametrize(
+        "s", [-1e305, 1e305, complex(0, 1e305), complex(-1e305, 1e305)]
+    )
+    def test_largest_accepted_points_stay_finite(self, s):
+        # The widest spread of rates: the smallest and largest positive doubles.
+        sums = wam_sums([5e-324, math.log(2), 1.7e308], [1, 2, 1])
+        ev = evaluate_wam(sums, s)
+        assert ev.value is None or np.isfinite(ev.value)
+        assert np.isfinite(ev.numerator) and np.isfinite(ev.denominator)
+
     def test_sums_require_entries(self):
         with pytest.raises(EmptyFactorization):
             wam_sums([], [])

@@ -21,6 +21,7 @@ from wamlab.zeros import (
     QuadratureNoConvergence,
     SearchRegion,
     argument_principle_count,
+    _dedup,
     _seed_points,
     critical_line_probe,
     find_zeros,
@@ -78,6 +79,45 @@ def count_with_jitter(f, region):
         except (BoundaryZero, QuadratureNoConvergence):
             continue
     raise AssertionError("could not find a clean contour")
+
+
+def dedup_reference(points, residuals, radius):
+    """The quadratic greedy loop that _dedup replaced, kept as its oracle."""
+    order = np.lexsort((points.imag, points.real))
+    kept = []
+    for i in order:
+        merged = False
+        for j, k in enumerate(kept):
+            if abs(points[i] - points[k]) < radius:
+                if residuals[i] < residuals[k]:
+                    kept[j] = i
+                merged = True
+                break
+        if not merged:
+            kept.append(i)
+    return [int(k) for k in kept]
+
+
+def planted_cloud(seed, radius, im_offset):
+    """Cluster centres with near-duplicates planted around them at up to
+    1.5 radius, some stacked vertically at one re; integer residuals tie."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-20, 20, 60) * radius + 1j * (
+        im_offset + rng.uniform(0, 20, 60) * radius
+    )
+    points = []
+    for z in centres:
+        k = rng.integers(1, 8)
+        angles = np.exp(2j * np.pi * rng.uniform(0, 1, k))
+        offsets = rng.uniform(0, 1.5, k) * radius * angles
+        offsets[rng.uniform(0, 1, k) < 0.2] *= 0  # exact repeats
+        stacked = rng.uniform(0, 1, k) < 0.2
+        offsets[stacked] = 1j * offsets[stacked].imag  # same re as the centre
+        points.extend(z + offsets)
+    points = np.array(points)
+    rng.shuffle(points)
+    residuals = rng.integers(0, 4, points.size).astype(float).tolist()
+    return points, residuals
 
 
 class TestTwoPrimeClosedForm:
@@ -328,3 +368,19 @@ class TestRegionValidation:
     def test_single_prime_is_rejected(self):
         with pytest.raises(ValueError):
             find_zeros(factor(8), STRIP_TO_50)
+
+
+class TestDedup:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "radius, im_offset", [(1e-9, 0.0), (1e-9, 4000.0), (0.05, 0.0), (1.0, 37.5)]
+    )
+    def test_matches_quadratic_reference(self, seed, radius, im_offset):
+        points, residuals = planted_cloud(seed, radius, im_offset)
+        kept = _dedup(points, residuals, radius)
+        assert kept == dedup_reference(points, residuals, radius)
+        assert len(kept) < points.size
+
+    def test_empty_and_single(self):
+        assert _dedup(np.array([], dtype=complex), [], 1e-9) == []
+        assert _dedup(np.array([1 + 2j]), [0.5], 1e-9) == [0]
