@@ -19,7 +19,8 @@ DEFAULT_RHO_BUDGET = 10**8
 
 # Deterministic Miller-Rabin witness ladder.  Each entry (bound, bases) is a
 # set of bases with no composite strong pseudoprime below the bound; the last
-# entry covers everything below 2^64 and beyond (up to ~3.3e24).
+# entry covers everything below 2^64 and beyond (up to ~3.2e23).  Above it
+# is_prime runs Baillie-PSW, which has no known counterexample.
 _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
     (2047, (2,)),
     (1373653, (2, 3)),
@@ -31,7 +32,6 @@ _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
-_MR_RANDOM_ROUNDS = 40
 
 
 def _small_prime_list(limit: int) -> list[int]:
@@ -63,8 +63,57 @@ def _mr_witness(n: int, a: int, d: int, r: int) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd non-square n, with
+    Selfridge's parameters: the first D in 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:  # gcd(|D|, n) > 1, and |D| < n at the sizes is_prime asks about
+        return False
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n) // 2 if x & 1 else x // 2
+
+    # U_k, V_k and Q^k mod n, k running over the leading bits of d.
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below ~3.3e24, 40 rounds above.
+    """Primality test: deterministic below ~3.2e23, Baillie-PSW above.
 
     >>> is_prime(2047)
     False
@@ -84,10 +133,9 @@ def is_prime(n: int) -> bool:
     for bound, bases in _MR_LADDER:
         if n < bound:
             return not any(_mr_witness(n, a, d, r) for a in bases)
-    rng = random.Random(n)
-    return not any(
-        _mr_witness(n, rng.randrange(2, n - 1), d, r) for _ in range(_MR_RANDOM_ROUNDS)
-    )
+    if math.isqrt(n) ** 2 == n:
+        return False
+    return not _mr_witness(n, 2, d, r) and _strong_lucas(n)
 
 
 def _brent_rho(n: int, seed: int, budget: int) -> tuple[int | None, int]:

@@ -97,6 +97,12 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _cell(x) -> str:
+    """One CSV field: _csv_cell(_fmt(x)), with Python floats (never quoted)
+    rendered directly."""
+    return repr(x) if type(x) is float else _csv_cell(_fmt(x))
+
+
 def _fmt_complex(z: complex | None) -> str:
     if z is None:
         return "pole"
@@ -156,9 +162,9 @@ class _Output:
         for key, val in self.meta.items():
             fh.write(f"# {key}: {_fmt(val)}\n")
         if self.header is not None:
-            fh.write(",".join(_csv_cell(h) for h in self.header) + "\n")
+            fh.write(",".join(map(_cell, self.header)) + "\n")
             for row in self.rows:
-                fh.write(",".join(_csv_cell(_fmt(x)) for x in row) + "\n")
+                fh.write(",".join(map(_cell, row)) + "\n")
         else:
             fh.write(f"{self.scalar_text}\n")
 
@@ -249,10 +255,9 @@ def _cmd_heatmap(args, out: _Output):
     out.meta["cap"] = args.cap
     out.meta["grid_step"] = args.step
     header = ["im\\re"] + [_fmt(v) for v in grid.re_axis]
-    rows = [
-        [grid.im_axis[i]] + list(grid.cells[i]) for i in range(len(grid.im_axis))
-    ]
-    out.table(header, rows)
+    # Python floats (.tolist()) render through _cell's direct repr branch.
+    rows = zip(grid.im_axis.tolist(), grid.cells.tolist())
+    out.table(header, [[im] + cells for im, cells in rows])
 
 
 def _cmd_em_hist(args, out: _Output):

@@ -160,10 +160,11 @@ def _radical_sieve(limit: int) -> np.ndarray:
     rad = np.ones(limit + 1, dtype=np.int32)
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, limit + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
-            is_prime[2 * p :: p] = False
-            rad[p::p] *= p
+            is_prime[p * p :: p] = False
+    for p in np.flatnonzero(is_prime).tolist():
+        rad[p::p] *= p
     return rad
 
 
@@ -290,10 +291,12 @@ def max_wam_heatmap(
         sums = integer_wam_sums(t.abc_factorization)
         num = sums.numerator.outer(1j * im_axis[half:], re_axis)
         den = sums.denominator.outer(1j * im_axis[half:], re_axis)
+        ratio = np.abs(num)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(num) / np.abs(den)
-        capped = np.where(np.isfinite(ratio), np.minimum(ratio, cap), cap)
-        np.maximum(best, capped, out=best)
+            np.divide(ratio, np.abs(den), out=ratio)
+        # fmin takes cap over a NaN (0/0) ratio, and min(inf, cap) is cap.
+        np.fmin(ratio, cap, out=ratio)
+        np.maximum(best, ratio, out=best)
     best = np.concatenate([best[::-1][:half], best])
     cells = np.log10(np.maximum(best, 1e-300))
     return HeatmapGrid(re_axis, im_axis, cells, cap)

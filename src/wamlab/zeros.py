@@ -11,6 +11,7 @@ vanishing near its critical abscissa.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -276,9 +277,15 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     return find_zeros_of_sums(integer_wam_sums(f), region)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The panel rule on [-1, 1], computed once per process, on first use."""
+    return np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
+
+
 def _edge_nodes(z0: complex, z1: complex, panels: int):
     """Gauss-Legendre nodes and weights on [z0, z1], composite in panels."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
+    x, w = _gauss_legendre()
     starts = np.arange(panels) / panels
     t = (starts[:, None] + (x[None, :] + 1.0) / (2.0 * panels)).ravel()
     dz = z1 - z0

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from conftest import FULL, factorizations
 from wamlab.arith import (
+    _MR_LADDER,
     MAX_VALUE,
     Factorization,
     FactorizationBudgetExceeded,
@@ -129,10 +130,30 @@ class TestIsPrime:
             41041,         # Carmichael
             3215031751,    # strong pseudoprime to bases 2, 3, 5, 7
             (1 << 67) - 1,  # 193707721 * 761838257287
+            318665857834031151167461,    # strong pseudoprime to bases 2, ..., 37
+            3317044064679887385961981,   # strong pseudoprime to bases 2, ..., 41
+            # Chernick Carmichael numbers (6k+1)(12k+1)(18k+1), all three
+            # factors prime, above the Miller-Rabin ladder; those at
+            # k = 6300850, 6300966, 1000000606 and 100000002290 are also
+            # strong pseudoprimes to base 2, so only the Lucas test rejects them.
+            *[
+                (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                for k in (6300850, 6300966, 14000240, 1000000606, 100000002290, 400000000056)
+            ],
         ],
     )
     def test_known_composites(self, c):
         assert not is_prime(c)
+
+    def test_agrees_with_sympy_above_the_ladder(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(127)
+        lo = _MR_LADDER[-1][0]
+        odd = [rng.randrange(lo, MAX_VALUE) | 1 for _ in range(2000)]
+        primes = [sympy.prevprime(rng.randrange(2 * lo, MAX_VALUE)) for _ in range(50)]
+        for n in odd + primes:
+            assert is_prime(n) == sympy.isprime(n), n
+        assert all(is_prime(p) for p in primes)
 
     def test_agrees_with_sieve(self):
         limit = 100_000

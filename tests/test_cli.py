@@ -7,11 +7,12 @@ import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from conftest import run_with_blas_threads
 from wamlab.arith import is_prime
-from wamlab.cli import main
+from wamlab.cli import _cell, _csv_cell, _fmt, main
 from wamlab.ffpoly import FpPoly
 
 
@@ -252,6 +253,35 @@ class TestDeterminism:
             run_with_blas_threads(threads, ["-m", "wamlab.cli", *argv, "--out", str(path)])
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize(
+        "x,text",
+        [
+            (-0.0, "-0.0"),
+            (5e-324, "5e-324"),
+            (1e16, "1e+16"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (np.float64(0.1 + 0.2), "0.30000000000000004"),
+            (np.float64(-0.0), "-0.0"),
+            (0, "0"),
+            (-7, "-7"),
+            (2**127 - 1, str(2**127 - 1)),
+            (np.int64(42), "42"),
+            (True, "true"),
+            (False, "false"),
+            (None, ""),
+            ("1,0,1@2", '"1,0,1@2"'),
+            ('say "hi"', '"say ""hi"""'),
+            ("im\\re", "im\\re"),
+        ],
+    )
+    def test_cell_matches_fmt_then_quote(self, x, text):
+        assert _cell(x) == _csv_cell(_fmt(x)) == text
 
 
 class TestDatasetIssues:

@@ -15,6 +15,7 @@ from wamlab.triples import (
     AbcTriple,
     NotATriple,
     NotCoprime,
+    _radical_sieve,
     em_histogram,
     generate_triples,
     max_wam_heatmap,
@@ -23,7 +24,8 @@ from wamlab.triples import (
     validate_triple,
     write_dataset,
 )
-from wamlab.wamcore import wam_at
+from wamlab import triples as triples_module
+from wamlab.wamcore import ExpSum, WamSums, wam_at
 from wamlab.zeros import SearchRegion
 
 
@@ -141,6 +143,15 @@ class TestGeneration:
             beats = t.c > radical(t.abc_factorization)
             assert (t.quality > 1.0) == beats, (t.a, t.b, t.c)
 
+    def test_radical_sieve_matches_factoring(self):
+        # Limits at, just below and just above prime squares move the bound
+        # of the composite-marking loop.
+        for limit in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 2000):
+            rad = _radical_sieve(limit)
+            assert rad.dtype == np.int32
+            assert rad[0] == 1
+            assert [int(r) for r in rad[1:]] == [radical(factor(x)) for x in range(1, limit + 1)]
+
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
             generate_triples(1, 1.0)
@@ -251,6 +262,17 @@ class TestHeatmap:
         grid = max_wam_heatmap(generate_triples(200, 1.0), self.REGION, cap=2.0)
         assert np.all(grid.cells <= math.log10(2.0) + 1e-12)
         assert grid.cap == 2.0
+
+    @pytest.mark.parametrize("num_weights", [[1.0, 2.0], [0.0, 0.0]])
+    def test_infinite_and_nan_ratios_saturate_at_the_cap(self, monkeypatch, num_weights):
+        # A zero-weight denominator vanishes exactly, so every cell's ratio is
+        # inf (nonzero numerator) or NaN (0/0); all must read log10(cap).
+        rates = [0.3, -0.4]
+        sums = WamSums(ExpSum(num_weights, rates), ExpSum([0.0, 0.0], rates))
+        monkeypatch.setattr(triples_module, "integer_wam_sums", lambda f: sums)
+        grid = max_wam_heatmap([validate_triple(1, 8, 9)], self.REGION, cap=50.0)
+        assert not np.any(np.isnan(grid.cells))
+        assert np.all(grid.cells == math.log10(50.0))
 
     def test_thread_count_does_not_change_result(self, tmp_path):
         script = (

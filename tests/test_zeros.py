@@ -266,15 +266,15 @@ class TestSeedBands:
         assert peak < 64 * 2**20
 
 
+KNOWN_COUNTS = [
+    (6, SearchRegion(-1.0, 1.0, 5.0, 10.0), 1),
+    (6, SearchRegion(-1.0, 1.0, 0.0, 25.0), 2),
+    (6, SearchRegion(-1.0, 1.0, 0.0, 5.0), 0),
+]
+
+
 class TestArgumentPrinciple:
-    @pytest.mark.parametrize(
-        "n,region,count",
-        [
-            (6, SearchRegion(-1.0, 1.0, 5.0, 10.0), 1),
-            (6, SearchRegion(-1.0, 1.0, 0.0, 25.0), 2),
-            (6, SearchRegion(-1.0, 1.0, 0.0, 5.0), 0),
-        ],
-    )
+    @pytest.mark.parametrize("n,region,count", KNOWN_COUNTS)
     def test_known_counts(self, n, region, count):
         assert argument_principle_count(factor(n), region) == count
 
@@ -289,6 +289,23 @@ class TestArgumentPrinciple:
             region = SearchRegion(-1.0, a0 + 1.0, 0.0, 40.0)
             found = len(find_zeros(f, region).records)
             assert count_with_jitter(f, region) == found, f.value
+
+    def test_quadrature_rule_is_computed_once(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(deg):
+            calls.append(deg)
+            return leggauss(deg)
+
+        zeros._gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        try:
+            for n, region, count in KNOWN_COUNTS:
+                assert argument_principle_count(factor(n), region) == count
+        finally:
+            zeros._gauss_legendre.cache_clear()
+        assert calls == [zeros._GL_NODES_PER_PANEL]
 
     def test_boundary_zero_is_detected(self):
         # The first zero for {2, 3} sits exactly on the top edge here, so the
