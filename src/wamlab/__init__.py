@@ -18,7 +18,13 @@ from .arith import (
     mobius,
     radical,
 )
-from .critical import BelowCritical, CriticalProfile, critical_abscissa, wam_upper
+from .critical import (
+    BelowCritical,
+    CriticalProfile,
+    critical_abscissa,
+    critical_abscissae,
+    wam_upper,
+)
 from .ffpoly import (
     FpPoly,
     PolyAbcTriple,
@@ -71,6 +77,7 @@ __all__ = [
     "BelowCritical",
     "CriticalProfile",
     "critical_abscissa",
+    "critical_abscissae",
     "wam_upper",
     "FpPoly",
     "PolyAbcTriple",

@@ -45,6 +45,9 @@ def _small_prime_list(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _small_prime_list(1 << 12)
 _SMALL_PRIME_SET = set(_SMALL_PRIMES)
+#: The product of the primes below 2^12 (5,811 bits): one gcd with it finds
+#: every small prime factor of n at once.
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 class FactorizationBudgetExceeded(RuntimeError):
@@ -261,15 +264,31 @@ def _factor_default_budget(n: int) -> Factorization:
     return _factor_uncached(n, DEFAULT_RHO_BUDGET)
 
 
+def _divide_out(rem: int, p: int, counts: dict[int, int]) -> int:
+    """rem with every factor p removed; counts[p] is the number removed."""
+    e = 0
+    while rem % p == 0:
+        rem //= p
+        e += 1
+    counts[p] = e
+    return rem
+
+
 def _factor_uncached(n: int, budget: int) -> Factorization:
     counts: dict[int, int] = {}
     rem = n
+    # g is the product of the distinct primes below 2^12 that divide n.  It
+    # is squarefree, so once p * p > g what is left of it is 1 or a prime.
+    g = math.gcd(n, _SMALL_PRIMORIAL)
     for p in _SMALL_PRIMES:
-        if p * p > rem:
+        if p * p > g:
             break
-        while rem % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rem //= p
+        if g % p == 0:
+            g //= p
+            rem = _divide_out(rem, p, counts)
+    if g > 1:
+        rem = _divide_out(rem, g, counts)
+    # rem has no factor below 2^12, so below 2^24 it is 1 or a prime.
     if rem >= 1 << 24:  # _split tests primality first
         _split(rem, counts, budget)
     elif rem > 1:

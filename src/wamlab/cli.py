@@ -10,6 +10,7 @@ convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .arith import FactorizationBudgetExceeded, factor
-from .critical import critical_abscissa
+from .critical import critical_abscissa, critical_abscissae
 from .ffpoly import (
     EnumerationBudget,
     cyclotomic_wam_formula,
@@ -280,13 +281,14 @@ def _cmd_critical_line(args, out: _Output):
 
 def _cmd_acrit_scan(args, out: _Output):
     triples = _load_triples(args, out)
-    rows = []
-    for t in triples:
-        prof = critical_abscissa(t.abc_factorization)
-        rows.append(
+    profiles = critical_abscissae([t.abc_factorization for t in triples])
+    out.table(
+        ["a", "b", "c", "quality", "p_m", "a_crit"],
+        [
             [t.a, t.b, t.c, t.quality, t.abc_factorization.primes[-1], prof.a_crit]
-        )
-    out.table(["a", "b", "c", "quality", "p_m", "a_crit"], rows)
+            for t, prof in zip(triples, profiles)
+        ],
+    )
 
 
 def _cmd_mersenne(args, out: _Output):
@@ -377,7 +379,9 @@ def _cmd_bounds_check(args, out: _Output):
 # argv wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argv parser, built once per process; parse_args leaves it as it is."""
     parser = _Parser(prog="wamlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wamlab {__version__}")
     common = argparse.ArgumentParser(add_help=False)

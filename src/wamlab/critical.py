@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -57,11 +58,18 @@ def _log_ratios(f: Factorization) -> np.ndarray:
     return np.log(logs[:-1]) - math.log(logs[-1])
 
 
-def _g(log_ratios: np.ndarray, a: float, weights=1.0) -> float:
-    """sum_{k<m} w_k (ln p_k / ln p_m)^a from the _log_ratios; w = 1 is the
-    bracketing function g."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(weights * np.exp(a * log_ratios)))
+def _g(log_ratios: np.ndarray, a, weights=None) -> np.ndarray:
+    """sum_{k<m} w_k (ln p_k / ln p_m)^a over the last axis of _log_ratios;
+    w = 1 is the bracketing function g.  For a stack of rows, `a` is a
+    column holding one abscissa per row.
+
+    np.add.reduce sums each row pairwise, as np.sum does a single row, so a
+    row's value does not depend on the rows stacked with it.
+    """
+    terms = np.exp(a * log_ratios)
+    if weights is not None:
+        terms = weights * terms
+    return np.add.reduce(terms, axis=-1)
 
 
 def is_wam_constant(f: Factorization) -> bool:
@@ -81,32 +89,73 @@ def critical_abscissa(f: Factorization) -> CriticalProfile:
     >>> critical_abscissa(factor(6)).a_crit
     0.0
     """
-    if not f.primes:
-        raise EmptyFactorization("a_crit is undefined for n = 1")
-    m = len(f.primes)
-    constant = is_wam_constant(f)
-    e_m = f.exponents[-1]
-    if m == 1:
-        return CriticalProfile(None, constant, m, e_m)
-    if m == 2:
-        return CriticalProfile(0.0, constant, m, e_m)
+    return critical_abscissae([f])[0]
 
-    log_ratios = _log_ratios(f)
-    lo, hi = -_BRACKET_START, _BRACKET_START
+
+def critical_abscissae(fs: Iterable[Factorization]) -> list[CriticalProfile]:
+    """critical_abscissa of every factorization in fs, in input order.
+
+    The factorizations with m >= 3 are bisected together, one numpy pass
+    per step over each group of equal m.  A row's steps do not depend on
+    the other rows, so its a_crit is the same wherever it is solved.
+
+    >>> from wamlab.arith import factor
+    >>> [p.a_crit for p in critical_abscissae([factor(8), factor(30), factor(6)])]
+    [None, 1.1932950206974056, 0.0]
+    """
+    fs = list(fs)
+    a_crit: list[float | None] = []
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(fs):
+        if not f.primes:
+            raise EmptyFactorization("a_crit is undefined for n = 1")
+        m = len(f.primes)
+        a_crit.append(None if m == 1 else 0.0)  # m >= 3 is solved below
+        if m >= 3:
+            groups.setdefault(m, []).append(i)
+    for rows in groups.values():
+        roots = _bisect(np.array([_log_ratios(fs[i]) for i in rows]))
+        for i, root in zip(rows, roots.tolist()):
+            a_crit[i] = root
+    return [
+        CriticalProfile(a, is_wam_constant(f), len(f.primes), f.exponents[-1])
+        for f, a in zip(fs, a_crit)
+    ]
+
+
+def _bisect(log_ratios: np.ndarray) -> np.ndarray:
+    """The root of g = 1 for each row of a (T, m - 1) stack of _log_ratios.
+
+    Every a the solver evaluates is >= -64 and every log ratio is above
+    -4.9 for p < 2^127, so exp(a * log_ratio) <= exp(313) cannot overflow.
+    """
+    rows = len(log_ratios)
+    lo = np.full(rows, -_BRACKET_START)
+    hi = np.full(rows, _BRACKET_START)
+    growing = np.arange(rows)
     for _ in range(_MAX_EXPANSIONS):
-        if _g(log_ratios, hi) < 1.0:
+        growing = growing[~(_g(log_ratios[growing], hi[growing, None]) < 1.0)]
+        if not growing.size:
             break
-        hi *= 2.0
+        hi[growing] *= 2.0
     else:
         raise RuntimeError("bisection bracket expansion failed")
     # g(lo) > 1 is automatic for m >= 3: g decreases and g(0) = m - 1 >= 2.
-    while hi - lo > BISECT_TOL:
+    # Each row stops at its own first hi - lo <= BISECT_TOL.
+    roots = np.empty(rows)
+    live = np.arange(rows)
+    while True:
+        wide = hi - lo > BISECT_TOL
+        still = np.count_nonzero(wide)
+        if still < live.size:
+            roots[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            if not still:
+                return roots
+            live, lo, hi, log_ratios = live[wide], lo[wide], hi[wide], log_ratios[wide]
         mid = 0.5 * (lo + hi)
-        if _g(log_ratios, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalProfile(0.5 * (lo + hi), constant, m, e_m)
+        above = _g(log_ratios, mid[:, None]) > 1.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
 
 
 def denominator_gap(f: Factorization, a: float) -> float:
@@ -129,9 +178,11 @@ def wam_upper(f: Factorization, a: float) -> float:
     if not f.primes:
         raise EmptyFactorization("wam_upper is undefined for n = 1")
     log_ratios = _log_ratios(f)
-    gap = 1.0 - _g(log_ratios, a)
+    with np.errstate(over="ignore"):  # a is arbitrary here
+        gap = 1.0 - float(_g(log_ratios, a))
+        tail = float(_g(log_ratios, a, np.array(f.exponents[:-1])))
     if gap <= 0.0:
         raise BelowCritical(
             f"a = {a} is at or below the critical abscissa (1 - g(a) = {gap})"
         )
-    return (f.exponents[-1] + _g(log_ratios, a, np.array(f.exponents[:-1]))) / gap
+    return (f.exponents[-1] + tail) / gap

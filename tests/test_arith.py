@@ -78,6 +78,31 @@ class TestFactorCorrectness:
         f = factor(HARD_SEMIPRIME)
         assert f.pairs() == ((HARD_P, 1), (HARD_Q, 1))
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            4093**2,  # the largest prime below 2^12, squared
+            4093 * 4099,  # 4099 is the first prime above 2^12
+            4099**2,
+            2 * 4093,
+            3 * 5 * 7 * 4093**3,
+            *[2**k * 1000003 for k in (1, 5, 40)],
+            *[2**k * ((1 << 61) - 1) for k in (1, 7, 60)],
+            *[2**k * 4099 for k in (1, 12, 100)],
+            3 * ((1 << 89) - 1),
+            4093 * ((1 << 107) - 1),
+            17 * 4099 * (10**18 + 9),
+            4093 * 4099 * (10**9 + 7),
+        ],
+    )
+    def test_small_prime_split_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        want = tuple(sorted(sympy.factorint(n).items()))
+        assert factor(n).pairs() == want
+        # A non-default budget bypasses the cache of factor.
+        assert factor(n, budget=10**7).pairs() == want
+
     def test_largest_allowed_values(self):
         m127 = (1 << 127) - 1  # prime, and the largest admissible input
         assert factor(m127).pairs() == ((m127, 1),)

@@ -4,15 +4,21 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import wamlab
 from conftest import run_with_blas_threads
 from wamlab.arith import is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
+from wamlab.critical import critical_abscissa
+from wamlab.triples import generate_triples
 from wamlab.ffpoly import FpPoly
 
 
@@ -181,6 +187,18 @@ class TestTableCommands:
         for row in rows:
             assert {"a", "b", "c", "quality", "p_m", "a_crit"} <= set(row)
 
+    def test_acrit_scan_rows_equal_per_triple_abscissa(self):
+        code, out, _ = run(["acrit-scan", "--gen", "3000", "--min-quality", "0.9"])
+        assert code == 0
+        rows = list(csv.DictReader(body_lines(out)))
+        triples = generate_triples(3000, 0.9)
+        assert len(rows) == len(triples)
+        for row, t in zip(rows, triples):
+            f = t.abc_factorization
+            assert (int(row["a"]), int(row["b"]), int(row["c"])) == (t.a, t.b, t.c)
+            assert int(row["p_m"]) == f.primes[-1]
+            assert row["a_crit"] == _fmt(critical_abscissa(f).a_crit)
+
     def test_poly_triple_cells_parse_back(self):
         code, out, _ = run(["poly-triple", "--q", "5", "--n", "3"])
         assert code == 0
@@ -243,6 +261,27 @@ class TestDeterminism:
         first = run_file(tmp_path, argv, name="a.txt")
         second = run_file(tmp_path, argv, name="b.txt")
         assert first == second
+
+    def test_consecutive_calls_equal_separate_runs(self, tmp_path):
+        # main() reuses one parser per process; a second subcommand in the
+        # same process must write what a fresh interpreter writes.
+        commands = [
+            ["acrit-scan", "--gen", "800"],
+            ["zeros", "30", "--re", "-1:2.5", "--im", "0:20"],
+            ["factor", "720"],
+        ]
+        src = os.path.dirname(os.path.dirname(wamlab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for i, argv in enumerate(commands):
+            assert run([*argv, "--out", str(tmp_path / f"same-{i}.csv")])[0] == 0
+        for i, argv in enumerate(commands):
+            fresh = tmp_path / f"fresh-{i}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "wamlab.cli", *argv, "--out", str(fresh)],
+                env=env, check=True, timeout=120,
+            )
+            assert (tmp_path / f"same-{i}.csv").read_bytes() == fresh.read_bytes()
 
     def test_heatmap_insensitive_to_thread_count(self, tmp_path):
         # Large enough that OpenBLAS splits the grid products across threads.

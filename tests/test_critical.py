@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import factorizations
 from test_acceptance import SAMPLE_TRIPLES
@@ -13,11 +14,13 @@ from wamlab.arith import Factorization, factor
 from wamlab.critical import (
     BelowCritical,
     critical_abscissa,
+    critical_abscissae,
     denominator_gap,
     is_wam_constant,
     wam_upper,
 )
-from wamlab.wamcore import wam_at
+from wamlab.triples import generate_triples
+from wamlab.wamcore import EmptyFactorization, wam_at
 
 
 def defect(f, a):
@@ -43,6 +46,102 @@ def oracle_abscissa(primes, mpmath):
         while h(hi) > 0:
             hi *= 2
         return mpmath.findroot(h, (0, hi), solver="anderson")
+
+
+def scalar_abscissa(f):
+    """The one-row bisection critical_abscissa ran before the batch solver:
+    a float loop with one np.sum of a length m - 1 array per step.
+    critical_abscissae must reproduce it bit for bit."""
+    m = len(f.primes)
+    if m == 1:
+        return None
+    if m == 2:
+        return 0.0
+    logs = np.log([float(p) for p in f.primes])
+    log_ratios = np.log(logs[:-1]) - math.log(logs[-1])
+
+    def g(a):
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.exp(a * log_ratios)))
+
+    lo, hi = -64.0, 64.0
+    for _ in range(60):
+        if g(hi) < 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("bisection bracket expansion failed")
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def squarefree(primes):
+    return Factorization.from_pairs([(p, 1) for p in primes])
+
+
+def mixed_factorizations():
+    """m = 1 ... 14, every m at least twice, in a seeded shuffled order."""
+    rng = random.Random(2024)
+    pool = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+    fs = [factor(8), factor(6), factor(72), factor(30), factor(30)]
+    for m in range(1, 15):
+        for _ in range(3):
+            fs.append(squarefree(sorted(rng.sample(pool, m))))
+    fs.append(factor(1960 * 59049 * 61009))
+    rng.shuffle(fs)
+    return fs
+
+
+def a_crits(fs):
+    return [p.a_crit for p in critical_abscissae(fs)]
+
+
+class TestBatchAbscissae:
+    """critical_abscissae against the scalar bisection it replaced, with ==."""
+
+    def test_mixed_list_equals_scalar_bisection(self):
+        fs = mixed_factorizations()
+        assert {len(f.primes) for f in fs} == set(range(1, 15))
+        assert a_crits(fs) == [scalar_abscissa(f) for f in fs]
+
+    def test_generated_triples_equal_scalar_bisection(self):
+        fs = [t.abc_factorization for t in generate_triples(10**4)]
+        assert len(fs) > 100
+        assert a_crits(fs) == [scalar_abscissa(f) for f in fs]
+
+    @given(st.lists(factorizations(min_m=1, max_m=8), max_size=12))
+    def test_drawn_lists_equal_scalar_bisection(self, fs):
+        assert a_crits(fs) == [scalar_abscissa(f) for f in fs]
+
+    def test_single_call_equals_batch_entry(self):
+        fs = mixed_factorizations()
+        assert [critical_abscissa(f) for f in fs] == critical_abscissae(fs)
+
+    def test_input_order_is_kept(self):
+        fs = mixed_factorizations()
+        forward = critical_abscissae(fs)
+        backward = critical_abscissae(fs[::-1])
+        assert backward == forward[::-1]
+        assert [(p.m, p.e_m) for p in forward] == [(f.m, f.e_m) for f in fs]
+        assert [p.is_constant for p in forward] == [is_wam_constant(f) for f in fs]
+
+    def test_a_crit_is_a_python_float(self):
+        assert {type(a) for a in a_crits(mixed_factorizations())} == {float, type(None)}
+
+    def test_empty_list(self):
+        assert critical_abscissae([]) == []
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_n_equal_one_anywhere_raises(self, where):
+        fs = [factor(30), factor(6), factor(8), factor(30030), factor(72), factor(105)]
+        fs.insert(where, factor(1))
+        with pytest.raises(EmptyFactorization):
+            critical_abscissae(fs)
 
 
 class TestCriticalAbscissa:
