@@ -131,12 +131,16 @@ class _Output:
         }
         self.header: list[str] | None = None
         self.rows: list[list] = []
+        self.repeats: dict[int, int] = {}
         self.scalar = None
         self.scalar_text: str | None = None
 
-    def table(self, header: Sequence[str], rows):
+    def table(self, header: Sequence[str], rows, repeats: dict[int, int] | None = None):
+        """repeats[i] = j < i says that row i's fields after the first are
+        row j's, so the CSV text of row j's is written again."""
         self.header = list(header)
         self.rows = [list(r) for r in rows]
+        self.repeats = repeats or {}
 
     def value(self, scalar, text: str | None = None):
         self.scalar = scalar
@@ -164,8 +168,16 @@ class _Output:
             fh.write(f"# {key}: {_fmt(val)}\n")
         if self.header is not None:
             fh.write(",".join(map(_cell, self.header)) + "\n")
-            for row in self.rows:
-                fh.write(",".join(map(_cell, row)) + "\n")
+            reused = set(self.repeats.values())
+            tails: dict[int, str] = {}
+            for i, row in enumerate(self.rows):
+                if i in self.repeats:
+                    fh.write(_cell(row[0]) + tails.pop(self.repeats[i]) + "\n")
+                    continue
+                line = ",".join(map(_cell, row))
+                if i in reused:
+                    tails[i] = line[len(_cell(row[0])):]
+                fh.write(line + "\n")
         else:
             fh.write(f"{self.scalar_text}\n")
 
@@ -256,9 +268,15 @@ def _cmd_heatmap(args, out: _Output):
     out.meta["cap"] = args.cap
     out.meta["grid_step"] = args.step
     header = ["im\\re"] + [_fmt(v) for v in grid.re_axis]
-    # Python floats (.tolist()) render through _cell's direct repr branch.
+    # Python floats (.tolist()) render through _cell's direct repr branch;
+    # a mirrored row's cells are rendered once, for the row it copies.
     rows = zip(grid.im_axis.tolist(), grid.cells.tolist())
-    out.table(header, [[im] + cells for im, cells in rows])
+    last = grid.im_axis.size - 1
+    out.table(
+        header,
+        [[im] + cells for im, cells in rows],
+        repeats={last - i: i for i in range(grid.mirrored)},
+    )
 
 
 def _cmd_em_hist(args, out: _Output):
@@ -269,7 +287,8 @@ def _cmd_em_hist(args, out: _Output):
 
 def _cmd_critical_line(args, out: _Output):
     samples = args.samples
-    if samples is None:
+    # The probe checks b_max first, so a non-finite one is refused there.
+    if samples is None and math.isfinite(args.bmax):
         samples = max(1, math.ceil(args.bmax / _PROBE_STEP))
     probe = critical_line_probe(factor(args.n), args.bmax, samples)
     out.meta["n"] = args.n

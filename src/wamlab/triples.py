@@ -253,13 +253,16 @@ def _symmetric_axis(lo: float, hi: float, step: float, n: int) -> np.ndarray:
 class HeatmapGrid:
     """log10 of capped max |wam(abc, s)| over a triple set, on a grid.
 
-    cells[i, j] corresponds to s = re_axis[j] + 1j * im_axis[i].
+    cells[i, j] corresponds to s = re_axis[j] + 1j * im_axis[i].  The first
+    `mirrored` rows are copies of the last `mirrored` rows in reverse order
+    (the conjugate half of an im axis symmetric about 0).
     """
 
     re_axis: np.ndarray
     im_axis: np.ndarray
     cells: np.ndarray
     cap: float
+    mirrored: int = 0
 
 
 def max_wam_heatmap(
@@ -278,8 +281,8 @@ def max_wam_heatmap(
     """
     if not triples:
         raise ValueError("heatmap needs at least one triple")
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+    if not 0 < cap < math.inf:
+        raise ValueError(f"cap must be positive and finite, got {cap}")
     step = region.grid_step
     n_re = _axis_size(region.re_min, region.re_max, step, _HEATMAP_MAX_CELLS)
     n_im = _axis_size(region.im_min, region.im_max, step, _HEATMAP_MAX_CELLS // n_re)
@@ -299,7 +302,7 @@ def max_wam_heatmap(
         np.maximum(best, ratio, out=best)
     best = np.concatenate([best[::-1][:half], best])
     cells = np.log10(np.maximum(best, 1e-300))
-    return HeatmapGrid(re_axis, im_axis, cells, cap)
+    return HeatmapGrid(re_axis, im_axis, cells, cap, half)
 
 
 @dataclass(frozen=True)

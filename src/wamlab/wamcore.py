@@ -42,6 +42,50 @@ class EmptyFactorization(ValueError):
 _S_MAX = 1e305
 
 
+#: OpenBLAS (0.3.31, measured on a 2-vCPU x86-64 VM) runs a gemm on one
+#: thread while M·N·K stays below _GEMM_SERIAL and a gemv while M·N stays
+#: below _GEMV_SERIAL.  Above them it wakes its other threads, which then
+#: spin through the Python work that follows such small products.
+_GEMM_SERIAL = 1 << 16
+_GEMV_SERIAL = 1 << 12
+#: Row tiles start at multiples of this, so every row keeps its place in
+#: the kernels' unrolled loops and the tiles give the bits of the whole
+#: product (real gemv rows cut at other places do not).
+_ROW_TILE = 4
+
+
+def _product_plan(m: int, k: int, n: int | None) -> list[slice]:
+    """Row blocks of an (m×k) @ (k×n) product, n None for a 1-d right
+    factor, each of which OpenBLAS runs on one thread while 5·k·n stays
+    below _GEMM_SERIAL (5·k below _GEMV_SERIAL for a gemv).
+
+    numpy sends a product with one row or one column, or a 1-d right
+    factor, to gemv, with the lower bound; a block of 1 row cut from a
+    larger product would move that row from gemm or gemv to another kernel,
+    so no block has 1 row.  A 1-row product is left whole (it threads when
+    k·n >= _GEMV_SERIAL).  Wider products get blocks of 4 or 5 rows, which
+    may thread, with the same bits.
+    """
+    if m < 2:
+        return [slice(None)]
+    k = max(k, 1)
+    most = (_GEMV_SERIAL - 1) // k if n is None or n < 2 else (_GEMM_SERIAL - 1) // (k * n)
+    edges = [*range(0, m, _ROW_TILE * max(1, (most - 1) // _ROW_TILE)), m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:  # a 1-row rest joins the last
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-d a and a 1-d or 2-d b, bit for bit, as the row blocks
+    of _product_plan.  Every 2-d product of the library goes through here."""
+    m, k = a.shape
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    for rows in _product_plan(m, k, b.shape[1] if b.ndim == 2 else None):
+        np.matmul(a[rows], b, out=out[rows])
+    return out
+
+
 def as_complex(s) -> complex:
     """Validate and coerce an evaluation point; NaN, inf and points with
     |Re s| or |Im s| above 1e305 (where r_k s could overflow) are rejected."""
@@ -81,7 +125,8 @@ class ExpSum:
     def __call__(self, s):
         """f(s) itself, unshifted; it overflows once max_k r_k Re s > 709."""
         terms, sigma = self.shifted_terms(np.asarray(s, dtype=complex))
-        vals = (terms @ self.weights) * np.exp(sigma)
+        flat = _serial_product(terms.reshape(-1, self.weights.size), self.weights)
+        vals = flat.reshape(sigma.shape) * np.exp(sigma)
         return complex(vals) if np.ndim(s) == 0 else vals
 
     def outer(self, u, v):
@@ -96,8 +141,8 @@ class ExpSum:
         """
         u_terms = np.exp(np.multiply.outer(np.asarray(u, dtype=complex), self.rates))
         v_terms = self.shifted_terms(np.asarray(v))[0]
-        # Both factors complex, so numpy hands the product to BLAS (zgemm).
-        return (u_terms * self.weights) @ v_terms.T.astype(complex)
+        # Both factors complex, so each block is one single-threaded zgemm.
+        return _serial_product(u_terms * self.weights, v_terms.T.astype(complex))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import Factorization
 from .critical import critical_abscissa
-from .wamcore import ExpSum, WamSums, integer_wam_sums
+from .wamcore import ExpSum, WamSums, _serial_product, integer_wam_sums
 
 #: |N(s)| below this multiple of sum e_k |(ln p_k)^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
@@ -66,6 +66,10 @@ class SearchRegion:
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("region must have positive extent on both axes")
+        knobs = (self.re_min, self.re_max, self.im_min, self.im_max,
+                 self.grid_step, self.newton_tol)
+        if not all(map(math.isfinite, knobs)):
+            raise ValueError("region edges, grid_step and newton_tol must be finite")
         if self.grid_step <= 0 or self.newton_tol <= 0:
             raise ValueError("grid_step and newton_tol must be positive")
         if self.max_newton_iters < 1:
@@ -168,14 +172,14 @@ def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
     for it in range(region.max_newton_iters + 1):
         idx = np.nonzero(active)[0]
         terms = den.shifted_terms(z[idx])[0]
-        fz = terms @ den.weights
+        fz = _serial_product(terms, den.weights)
         if it:
             small = np.abs(fz) < region.newton_tol
             active[idx[small]] = False
             idx, terms, fz = idx[~small], terms[~small], fz[~small]
         if it == region.max_newton_iters or not idx.size:
             break
-        dfz = terms @ slopes
+        dfz = _serial_product(terms, slopes)
         z[idx] -= np.divide(fz, dfz, out=np.zeros_like(fz), where=np.abs(dfz) > 1e-300)
     converged = ~active
     return z[converged], int(converged.sum()), int(active.sum())
@@ -235,9 +239,9 @@ def find_zeros_of_sums(sums: WamSums, region: SearchRegion) -> ZeroSearch:
     out_of_region = int(inside.size - inside.sum())
     pts = polished[inside]
     terms = den.shifted_terms(pts)[0]  # the numerator's terms too
-    residuals = np.abs(terms @ den.weights).tolist()
-    num = np.abs(terms @ sums.numerator.weights)
-    removable = num < REMOVABLE_RTOL * (np.abs(terms) @ sums.numerator.weights)
+    residuals = np.abs(_serial_product(terms, den.weights)).tolist()
+    num = np.abs(_serial_product(terms, sums.numerator.weights))
+    removable = num < REMOVABLE_RTOL * _serial_product(np.abs(terms), sums.numerator.weights)
 
     kept = _dedup(pts, residuals, 10.0 * region.newton_tol)
     dedup_dropped = int(pts.size - len(kept))
@@ -306,13 +310,13 @@ def _contour_integral(den: ExpSum, region: SearchRegion, panels: int) -> complex
     for a, b in zip(corners, corners[1:] + corners[:1]):
         nodes, weights = _edge_nodes(a, b, panels)
         terms = den.shifted_terms(nodes)[0]
-        fz = terms @ den.weights
-        floor = BOUNDARY_RTOL * (np.abs(terms) @ np.abs(den.weights))
+        fz = _serial_product(terms, den.weights)
+        floor = BOUNDARY_RTOL * _serial_product(np.abs(terms), np.abs(den.weights))
         if np.any(np.abs(fz) < floor):
             raise BoundaryZero(
                 "denominator vanishes on the contour; jitter the rectangle"
             )
-        total += np.sum(weights * (terms @ slopes) / fz)
+        total += np.sum(weights * _serial_product(terms, slopes) / fz)
     return total / (2j * math.pi)
 
 
@@ -373,8 +377,10 @@ def critical_line_probe(
     """
     if len(f.primes) < 3:
         raise ValueError("the critical-line probe requires m >= 3")
-    if b_max <= 0 or samples < 1:
-        raise ValueError("b_max and samples must be positive")
+    if not 0 < b_max < math.inf:
+        raise ValueError(f"b_max must be positive and finite, got {b_max}")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     a = critical_abscissa(f).a_crit
     den = integer_wam_sums(f).denominator
     step = b_max / samples

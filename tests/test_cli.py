@@ -18,7 +18,8 @@ from conftest import run_with_blas_threads
 from wamlab.arith import is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
 from wamlab.critical import critical_abscissa
-from wamlab.triples import generate_triples
+from wamlab.triples import generate_triples, max_wam_heatmap
+from wamlab.zeros import SearchRegion
 from wamlab.ffpoly import FpPoly
 
 
@@ -246,6 +247,20 @@ class TestHeatmapCommand:
         meta = meta_lines(text)
         assert meta["triples"] == "2"
 
+    @pytest.mark.parametrize("im", ["-2:2", "-2.1:2.1", "-1:2", "0:0.1"])
+    def test_rows_equal_a_rendering_of_every_cell(self, tmp_path, im):
+        # Mirrored rows reuse the text of the row they copy; the file must
+        # still be what rendering each cell of each row gives.
+        argv = ["heatmap", "--gen", "300", "--re", "-2:2", "--im", im, "--step", "0.2"]
+        text = run_file(tmp_path, argv)
+        lo, hi = map(float, im.split(":"))
+        grid = max_wam_heatmap(generate_triples(300), SearchRegion(-2.0, 2.0, lo, hi, 0.2))
+        expected = [
+            ",".join(map(_cell, [y] + row))
+            for y, row in zip(grid.im_axis.tolist(), grid.cells.tolist())
+        ]
+        assert body_lines(text)[1:] == expected
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -396,6 +411,24 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("wamlab:")
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["critical-line", "30030", "--bmax", "inf"], "b_max"),
+            (["critical-line", "30030", "--bmax", "nan"], "b_max"),
+            (["heatmap", "--gen", "100", "--step", "nan"], "finite"),
+            (["zeros", "30", "--step", "nan"], "finite"),
+            (["zeros", "30", "--im", "0:inf"], "finite"),
+            (["heatmap", "--gen", "100", "--cap", "nan"], "cap"),
+            (["heatmap", "--gen", "100", "--cap", "inf"], "cap"),
+        ],
+    )
+    def test_non_finite_inputs_are_bad_input(self, argv, names):
+        code, out, err = run(argv)
+        assert code == 1
+        assert err.startswith("wamlab:") and names in err
+        assert "Traceback" not in err and out == ""
 
     def test_usage_failures(self):
         assert run([])[0] == 1

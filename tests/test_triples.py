@@ -258,6 +258,21 @@ class TestHeatmap:
         expected = math.log10(math.log(72) / math.log(6))
         assert abs(middle - expected) < 1e-12
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_cap_that_is_not_positive_and_finite(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            max_wam_heatmap(generate_triples(200, 1.0), self.REGION, cap=cap)
+
+    @pytest.mark.parametrize("im,mirrored", [((-6.0, 6.0), 60), ((-3.0, 6.0), 0), ((0.0, 6.0), 0)])
+    def test_mirrored_rows_copy_the_conjugate_half(self, im, mirrored):
+        region = SearchRegion(-6.0, 6.0, *im, grid_step=0.1)
+        grid = max_wam_heatmap(generate_triples(200, 1.0), region)
+        assert grid.mirrored == mirrored
+        last = grid.im_axis.size - 1
+        for i in range(grid.mirrored):
+            assert grid.im_axis[i] == -grid.im_axis[last - i]
+            assert np.array_equal(grid.cells[i], grid.cells[last - i])
+
     def test_cap_limits_cells(self):
         grid = max_wam_heatmap(generate_triples(200, 1.0), self.REGION, cap=2.0)
         assert np.all(grid.cells <= math.log10(2.0) + 1e-12)

@@ -1,7 +1,10 @@
 """Weighted average multiplicity: evaluation, identities, bounds."""
 
+import ast
 import cmath
+import itertools
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -11,9 +14,12 @@ import hypothesis.strategies as st
 
 from conftest import factorizations
 from wamlab.arith import big_omega, factor, omega, radical
+from wamlab import triples, wamcore, zeros
 from wamlab.wamcore import (
     EmptyFactorization,
     ExpSum,
+    _product_plan,
+    _serial_product,
     crude_em_bound_holds,
     em_limit,
     evaluate_wam,
@@ -284,6 +290,155 @@ class TestOuterKernel:
                     top = mpmath.fsum(e * t for e, t in zip(f.exponents, terms))
                     exact = float(abs(top / mpmath.fsum(terms)))
                     assert abs(abs(num[i, j] / den[i, j]) - exact) <= 1e-9 * exact
+
+
+def block_rows(m, k, n):
+    """Row counts of the blocks of _product_plan(m, k, n), checking that
+    they tile range(m) exactly once from rows at multiples of the tile."""
+    edges = [range(m)[rows] for rows in _product_plan(m, k, n)]
+    assert all(r.start % wamcore._ROW_TILE == 0 for r in edges)
+    assert edges[0].start == 0 and edges[-1].stop == m
+    assert [r.start for r in edges[1:]] == [r.stop for r in edges[:-1]]
+    return [len(r) for r in edges]
+
+
+#: The measured OpenBLAS cut-offs, stated here apart from the library's own
+#: constants: zgemm threads from M·N·K = 65,536, zgemv from M·N = 4,096.
+GEMM_SERIAL, GEMV_SERIAL = 65_536, 4_096
+
+
+def under_the_bounds(k, rows, cols):
+    """Whether OpenBLAS runs a rows×k @ k×cols block on one thread: numpy
+    sends 1-row, 1-column and matrix-vector products to gemv."""
+    if cols is None or cols == 1:
+        return rows * k < GEMV_SERIAL
+    if rows == 1:
+        return k * cols < GEMV_SERIAL
+    return rows * k * cols < GEMM_SERIAL
+
+
+class TestSerialProduct:
+    """_serial_product: every 2-d product of the library, cut into blocks
+    that OpenBLAS runs on one thread, with the bits of a @ b."""
+
+    RNG = np.random.default_rng(10)
+
+    def complex_matrix(self, *shape):
+        return self.RNG.standard_normal(shape) + 1j * self.RNG.standard_normal(shape)
+
+    def assert_same_bits(self, a, b):
+        whole, blocked = a @ b, _serial_product(a, b)
+        assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 9, 15, 27])
+    @pytest.mark.parametrize("rest", [0, 1, 2])
+    def test_matrix_vector_matches_matmul(self, k, rest):
+        # Rows past whole tiles: 0, 1 (joined to the last tile) or 2.
+        first = _product_plan(10**6, k, None)[0]
+        tile = first.stop - first.start
+        for m in (3 * tile + rest, 40 * tile + rest):
+            a = self.complex_matrix(m, k)
+            self.assert_same_bits(a, self.RNG.standard_normal(k))
+            self.assert_same_bits(a, self.complex_matrix(k))
+            self.assert_same_bits(np.abs(a), self.RNG.standard_normal(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 9, 15])
+    @pytest.mark.parametrize("n", [2, 3, 109, 301, 1025])
+    @pytest.mark.parametrize("rest", [0, 1, 2])
+    def test_matrix_matrix_matches_matmul(self, k, n, rest):
+        first = _product_plan(10**6, k, n)[0]
+        tile = first.stop - first.start
+        m = 5 * tile + rest
+        a = self.complex_matrix(m, k) * self.RNG.standard_normal(k)
+        # b as ExpSum.outer builds it (Fortran order) and in C order.
+        self.assert_same_bits(a, self.complex_matrix(n, k).T.astype(complex))
+        self.assert_same_bits(a, self.complex_matrix(k, n))
+        self.assert_same_bits(np.abs(a), self.RNG.standard_normal((k, n)))
+
+    @pytest.mark.parametrize("k", [4, 6, 12])
+    @pytest.mark.parametrize("extra", [1, 2, 129, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_wide_products_match_matmul(self, k, extra, m):
+        # k·n >= 2^15: two rows exceed the gemm bound; blocks of 4 or 5 rows.
+        n = 2**15 // k + extra
+        self.assert_same_bits(self.complex_matrix(m, k), self.complex_matrix(n, k).T.astype(complex))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_empty_and_single_row_products(self, m):
+        self.assert_same_bits(self.complex_matrix(m, 4), self.RNG.standard_normal(4))
+        self.assert_same_bits(self.complex_matrix(m, 4), self.complex_matrix(4, 301))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9, 15, 27, 60, 100])
+    def test_every_block_stays_under_the_bounds(self, k):
+        sizes = [None, 1, 2, 3, 166, 301, 1025, 2**15 // k + 1, 2**19]
+        for m, n in itertools.product([2, 3, 5, 17, 151, 1024, 4097], sizes):
+            if m * (n or 1) > 2**22:  # the largest grid the library builds
+                continue
+            for rows in block_rows(m, k, n):
+                assert rows >= 2, (m, k, n, rows)
+                # A block of 5 rows, the most a tile of 4 gets with a joined
+                # rest, fits the bound: then every block does.
+                if under_the_bounds(k, 5, n):
+                    assert under_the_bounds(k, rows, n), (m, k, n, rows)
+
+    def test_call_sites_hand_blas_only_small_blocks(self, monkeypatch):
+        # Every product of a heatmap, a zero search with its contour count
+        # and a critical-line probe goes through blocks under the bounds.
+        blocks = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            blocks.append((a.shape, b.shape))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(wamcore.np, "matmul", spy)
+        f = factor(13573088 * 349609375 * 363182463)
+        region = zeros.SearchRegion(-1.0, 7.29, 0.0, 60.0)
+        zeros.find_zeros(f, region)
+        zeros.argument_principle_count(f, region)
+        zeros.critical_line_probe(f, 1e4, 200_000)
+        grid_region = zeros.SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.05)
+        triples.max_wam_heatmap(triples.generate_triples(3000), grid_region)
+        assert blocks
+        for a, b in blocks:
+            rows, k = a
+            cols = b[1] if len(b) == 2 else None
+            assert under_the_bounds(k, rows, cols), (a, b)
+
+    def test_no_product_bypasses_the_helper(self):
+        # The spy above sees only what reaches np.matmul; an `@` or a dot
+        # elsewhere would bypass it.  Only 1-d dots and integer products
+        # (which numpy does not send to BLAS) may stay outside the helper.
+        allowed = {
+            ("wamcore", "_serial_product"),
+            ("wamcore", "evaluate_wam"),  # terms @ weights, both 1-d
+            ("zeros", "critical_line_probe"),  # the 1-d scale dot
+            ("ffpoly", "_ModRing.mul"),  # int64 reduction
+        }
+        found = set()
+        for path in sorted(pathlib.Path(wamcore.__file__).parent.glob("*.py")):
+            found |= products_in(path.stem, ast.parse(path.read_text()))
+        assert found == allowed
+
+
+def products_in(module, tree):
+    """(module, qualified function) of every `@`, matmul, dot or einsum."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        is_product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            is_product |= node.func.attr in {"matmul", "dot", "vdot", "einsum", "tensordot", "inner"}
+        if is_product:
+            found.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
 
 
 class TestCrudeTopMultiplicityBound:

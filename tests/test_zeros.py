@@ -320,6 +320,11 @@ class TestCriticalLineProbe:
         with pytest.raises(ValueError):
             critical_line_probe(factor(6), 100.0, 2000)
 
+    @pytest.mark.parametrize("b_max", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_b_max_that_is_not_positive_and_finite(self, b_max):
+        with pytest.raises(ValueError, match="b_max"):
+            critical_line_probe(factor(30), b_max, 2000)
+
     def test_minimum_shrinks_with_range(self):
         f = factor(30)
         short = critical_line_probe(f, 1000.0, 20_000)
@@ -370,6 +375,11 @@ class TestRegionValidation:
             dict(re_min=0.0, re_max=1.0, im_min=2.0, im_max=1.0),
             dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, grid_step=0.0),
             dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, newton_tol=-1.0),
+            dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, grid_step=math.nan),
+            dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, newton_tol=math.nan),
+            dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=math.inf),
+            dict(re_min=-math.inf, re_max=1.0, im_min=0.0, im_max=1.0),
+            dict(re_min=math.nan, re_max=1.0, im_min=0.0, im_max=1.0),
         ],
     )
     def test_rejects_bad_regions(self, kwargs):
