@@ -259,11 +259,6 @@ class Factorization:
         return tuple(zip(self.primes, self.exponents))
 
 
-@lru_cache(maxsize=1 << 15)
-def _factor_default_budget(n: int) -> Factorization:
-    return _factor_uncached(n, DEFAULT_RHO_BUDGET)
-
-
 def _divide_out(rem: int, p: int, counts: dict[int, int]) -> int:
     """rem with every factor p removed; counts[p] is the number removed."""
     e = 0
@@ -274,7 +269,8 @@ def _divide_out(rem: int, p: int, counts: dict[int, int]) -> int:
     return rem
 
 
-def _factor_uncached(n: int, budget: int) -> Factorization:
+@lru_cache(maxsize=1 << 15)
+def _factor(n: int, budget: int) -> Factorization:
     counts: dict[int, int] = {}
     rem = n
     # g is the product of the distinct primes below 2^12 that divide n.  It
@@ -312,9 +308,7 @@ def factor(n: int, *, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         raise ValueError(f"expected an integer, got {type(n).__name__}")
     if n < 1 or n >= MAX_VALUE:
         raise ValueError(f"n must satisfy 1 <= n < 2^127, got {n}")
-    if budget == DEFAULT_RHO_BUDGET:
-        return _factor_default_budget(n)
-    return _factor_uncached(n, budget)
+    return _factor(n, budget)
 
 
 def radical(f: Factorization) -> int:

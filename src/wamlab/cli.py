@@ -56,8 +56,9 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse only treats "-<digits>" as a value, not as an option,
         # when it matches this internal pattern; widen it so negative
-        # ranges ("-6:6") and complex points ("-1,0.5") parse as values.
-        self._negative_number_matcher = re.compile(r"^-\d")
+        # ranges ("-6:6", "-.5:.5", "-inf:0") and complex points ("-1,0.5")
+        # parse as values.
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -287,9 +288,9 @@ def _cmd_em_hist(args, out: _Output):
 
 def _cmd_critical_line(args, out: _Output):
     samples = args.samples
-    # The probe checks b_max first, so a non-finite one is refused there.
-    if samples is None and math.isfinite(args.bmax):
-        samples = max(1, math.ceil(args.bmax / _PROBE_STEP))
+    if samples is None:  # a non-finite b_max / step is passed on for the probe to refuse
+        steps = args.bmax / _PROBE_STEP
+        samples = max(1, math.ceil(steps)) if math.isfinite(steps) else steps
     probe = critical_line_probe(factor(args.n), args.bmax, samples)
     out.meta["n"] = args.n
     out.table(

@@ -13,9 +13,11 @@ triple whose middle term has a high-multiplicity factor x.  Mason's
 inequality pins wam(abc, 1) <= 3 for every valid triple, a theorem here
 rather than a conjecture.
 
-Every power modulo a fixed f, in poly_factor and in is_irreducible, runs
-in one numpy kernel (_ModRing), which tabulates x^(n+j) mod f; both
-functions therefore raise ValueError above degree MAX_FACTOR_DEGREE = 64.
+poly_factor and is_irreducible share one Frobenius-gcd loop, the
+distinct-degree split: is_irreducible is Ben-Or's test, which stops at
+the loop's first part.  Every power modulo a fixed f runs in one numpy
+kernel (_ModRing), which tabulates x^(n+j) mod f; both functions
+therefore raise ValueError above degree MAX_FACTOR_DEGREE = 64.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .arith import factor, is_prime, mobius
+from .arith import is_prime, mobius
 from .wamcore import WamEvaluation, evaluate_wam, wam_sums
 
 MAX_CHARACTERISTIC = 1 << 16
@@ -83,13 +85,7 @@ def _ladd(a, b, p):
 
 
 def _lsub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _lstrip(out)
+    return _ladd(a, [-c for c in b], p)
 
 
 def _lmul(a, b, p):
@@ -359,8 +355,13 @@ def _squarefree_parts(coeffs: list[int], p: int):
 
 
 def _distinct_degree(coeffs: list[int], q: int):
-    """Split a monic squarefree poly into (product, degree-class) parts."""
-    out = []
+    """Yield (product, d) parts of f, each product of degree-d irreducibles.
+
+    For squarefree monic f the parts cover f.  For any f the first part has
+    d = deg f exactly when f is irreducible: a reducible f has an
+    irreducible factor of degree d <= deg f / 2, which divides
+    gcd(x^(q^d) - x, f) (Ben-Or's test).
+    """
     f = list(coeffs)
     ring = _ModRing(f, q)
     h = ring.residue([0, 1])  # x^(q^d) mod f
@@ -368,16 +369,15 @@ def _distinct_degree(coeffs: list[int], q: int):
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
-            out.append((f, len(f) - 1))
-            break
+            yield f, len(f) - 1
+            return
         h = ring.pow(h, q)
         g = _lgcd(_lsub(_llist(h), [0, 1], q), f, q)
         if len(g) > 1:
-            out.append((g, d))
+            yield g, d
             f = _ldivmod(f, g, q)[0]
             ring = _ModRing(f, q)
             h = ring.residue(_llist(h))
-    return out
 
 
 def _seed_from(coeffs: Sequence[int], q: int) -> int:
@@ -445,29 +445,14 @@ def poly_factor(poly: FpPoly) -> PolyFactorization:
 
 
 def is_irreducible(poly: FpPoly) -> bool:
-    """Deterministic irreducibility test (Frobenius order conditions).
+    """Deterministic irreducibility test (Ben-Or), exact for every poly.
 
     Degrees above MAX_FACTOR_DEGREE raise ValueError.
     """
     n = poly.degree
     if n < 1:
         return False
-    if n == 1:
-        return True
-    q = poly.characteristic
-    ring = _ModRing(list(poly.coefficients), q)
-    need = {n // r for r in factor(n).primes}
-    powers = []
-    h = ring.residue([0, 1])
-    for i in range(1, n + 1):
-        h = ring.pow(h, q)
-        if i in need:
-            powers.append(h)
-    if _llist(h) != [0, 1]:
-        return False
-    return all(
-        len(_lgcd(_lsub(_llist(hd), [0, 1], q), ring.f, q)) == 1 for hd in powers
-    )
+    return next(_distinct_degree(list(poly.coefficients), poly.characteristic))[1] == n
 
 
 def count_irreducibles(q: int, n: int) -> int:
@@ -587,22 +572,6 @@ class PigeonholeConstruction:
     collision_lower: tuple[int, ...]
 
 
-def _lex_uppers(q: int, k: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(q), repeat=k)
-
-
-def _scan_buckets(q: int, n: int, k: int):
-    """Yield (lower-coefficient tuple) buckets in lexicographic order.
-
-    Lower tuples are (c_0, ..., c_{n-k-1}) compared from c_0 on; buckets
-    with c_0 = 0 are skipped outright, since x | f makes f reducible for
-    every degree n >= 2.
-    """
-    for c0 in range(1, q):
-        for rest in itertools.product(range(q), repeat=n - k - 1):
-            yield (c0,) + rest
-
-
 def pigeonhole_triple(q: int, n: int) -> PigeonholeConstruction:
     """Construct a polynomial ABC triple from an irreducible collision.
 
@@ -637,10 +606,13 @@ def pigeonhole_triple(q: int, n: int) -> PigeonholeConstruction:
     buckets_scanned = 0
     tested = 0
     seen = 0
-    for lower in _scan_buckets(q, n, k):
+    # Buckets are lower tuples (c_0, ..., c_{n-k-1}) in lexicographic order
+    # from c_0 on; c_0 = 0 is skipped, since x | f makes f reducible for
+    # every degree n >= 2.
+    for lower in itertools.product(range(1, q), *[range(q)] * (n - k - 1)):
         buckets_scanned += 1
         hits: list[FpPoly] = []
-        for upper in _lex_uppers(q, k):
+        for upper in itertools.product(range(q), repeat=k):
             coeffs = lower + upper + (1,)
             if sum(coeffs) % q == 0:  # f(1) = 0 makes x-1 a factor
                 continue

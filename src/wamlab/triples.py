@@ -19,6 +19,7 @@ import numpy as np
 
 from .arith import (
     DEFAULT_RHO_BUDGET,
+    MAX_VALUE,
     Factorization,
     FactorizationBudgetExceeded,
     factor,
@@ -65,11 +66,6 @@ class AbcTriple:
         return f"{self.a} {self.b} {self.c}"
 
 
-def _merge_coprime(parts: Iterable[Factorization]) -> Factorization:
-    pairs = sorted(pair for f in parts for pair in f.pairs())
-    return Factorization.from_pairs(pairs)
-
-
 def validate_triple(
     a: int, b: int, c: int, *, budget: int = DEFAULT_RHO_BUDGET
 ) -> AbcTriple:
@@ -87,11 +83,16 @@ def validate_triple(
         raise NotATriple(f"{a} + {b} != {c}")
     if math.gcd(a, b) != 1:  # with a + b = c this covers all three pairs
         raise NotCoprime(f"gcd({a}, {b}) = {math.gcd(a, b)} > 1")
-    f = _merge_coprime(
-        factor(x, budget=budget) for x in (a, b, c) if x > 1
+    if a * b * c >= MAX_VALUE:
+        raise ValueError("product exceeds 2^127")
+    # a, b and c are pairwise coprime, so their prime powers merge as they are.
+    pairs = sorted(
+        pair for x in (a, b, c) if x > 1 for pair in factor(x, budget=budget).pairs()
     )
-    quality = math.log(c) / sum(math.log(p) for p in f.primes)
-    return AbcTriple(a, b, c, f, quality, f.exponents[-1])
+    primes, exponents = zip(*pairs)
+    f = Factorization(a * b * c, primes, exponents)
+    quality = math.log(c) / sum(math.log(p) for p in primes)
+    return AbcTriple(a, b, c, f, quality, exponents[-1])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import Factorization
 from .critical import critical_abscissa
-from .wamcore import ExpSum, WamSums, _serial_product, integer_wam_sums
+from .wamcore import ExpSum, _serial_product, integer_wam_sums
 
 #: |N(s)| below this multiple of sum e_k |(ln p_k)^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
@@ -32,6 +32,13 @@ _MAX_PANELS_PER_EDGE = 64
 #: Seed-grid points evaluated per band, and the widest row (two rows per band).
 _SEED_BLOCK = 1 << 20
 _SEED_ROW_MAX = _SEED_BLOCK // 2
+#: Newton stops at |f(z)| < NEWTON_TOL, with |f| in units of the largest
+#: term modulus max_k |(ln p_k)^z|, as are all magnitudes the search reports.
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 40
+#: Most samples critical_line_probe takes: about 50 s, since 2e8 samples take
+#: 2.4 s at m = 6 (2-vCPU x86-64).
+_PROBE_MAX_SAMPLES = 1 << 32
 
 
 class BoundaryZero(RuntimeError):
@@ -49,31 +56,22 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """A rectangle in the s-plane plus the numerical knobs of the search.
-
-    Newton stops at |f(z)| < newton_tol, with |f| in units of the largest
-    term modulus max_k |(ln p_k)^z|, as are all magnitudes the search reports.
-    """
+    """A rectangle in the s-plane plus the seed-grid step of the search."""
 
     re_min: float
     re_max: float
     im_min: float
     im_max: float
     grid_step: float = 0.05
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 40
 
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("region must have positive extent on both axes")
-        knobs = (self.re_min, self.re_max, self.im_min, self.im_max,
-                 self.grid_step, self.newton_tol)
+        knobs = (self.re_min, self.re_max, self.im_min, self.im_max, self.grid_step)
         if not all(map(math.isfinite, knobs)):
-            raise ValueError("region edges, grid_step and newton_tol must be finite")
-        if self.grid_step <= 0 or self.newton_tol <= 0:
-            raise ValueError("grid_step and newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be positive")
+            raise ValueError("region edges and grid_step must be finite")
+        if self.grid_step <= 0:
+            raise ValueError("grid_step must be positive")
 
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         return (
@@ -159,25 +157,25 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     return (re[jj] + 0.5 * step) + 1j * (region.im_min + step * ii + 0.5 * step)
 
 
-def _newton_polish(den: ExpSum, seeds: np.ndarray, region: SearchRegion):
+def _newton_polish(den: ExpSum, seeds: np.ndarray):
     """Run Newton iteration on every seed at once; split by outcome.
 
     One set of shifted terms per iteration gives both f and f' at z; the f
-    of each step's result is also its convergence test, |f| < newton_tol
+    of each step's result is also its convergence test, |f| < NEWTON_TOL
     in units of the largest term modulus.
     """
     slopes = den.weights * den.rates
     z = seeds.astype(complex)
     active = np.ones(z.shape, dtype=bool)
-    for it in range(region.max_newton_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         idx = np.nonzero(active)[0]
         terms = den.shifted_terms(z[idx])[0]
         fz = _serial_product(terms, den.weights)
         if it:
-            small = np.abs(fz) < region.newton_tol
+            small = np.abs(fz) < NEWTON_TOL
             active[idx[small]] = False
             idx, terms, fz = idx[~small], terms[~small], fz[~small]
-        if it == region.max_newton_iters or not idx.size:
+        if it == MAX_NEWTON_ITERS or not idx.size:
             break
         dfz = _serial_product(terms, slopes)
         z[idx] -= np.divide(fz, dfz, out=np.zeros_like(fz), where=np.abs(dfz) > 1e-300)
@@ -225,17 +223,29 @@ def _dedup(points: np.ndarray, residuals, radius: float) -> list[int]:
     return kept
 
 
-def find_zeros_of_sums(sums: WamSums, region: SearchRegion) -> ZeroSearch:
-    """Zero search on explicit numerator/denominator sums."""
+def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
+    """Zeros of the denominator of wam(n, s) inside the region.
+
+    Every grid cell (default step 0.05) where both Re f and Im f change
+    sign seeds a Newton run; converged points are filtered to the region,
+    deduplicated within 10x NEWTON_TOL (smaller residual wins), and
+    classified pole/removable by the relative size of the numerator.
+
+    >>> from wamlab.arith import factor
+    >>> search = find_zeros(factor(6), SearchRegion(-1.0, 1.0, 0.0, 10.0))
+    >>> [round(r.location.imag, 6) for r in search.records]
+    [6.821234]
+    >>> search.records[0].classification.value
+    'removable'
+    """
+    sums = integer_wam_sums(f)
     if len(sums.denominator.weights) < 2:
         raise ValueError("zero search requires at least two factors (m >= 2)")
     den = sums.denominator
     seeds = _seed_points(den, region)
-    polished, converged, dropped = _newton_polish(den, seeds, region)
+    polished, converged, dropped = _newton_polish(den, seeds)
 
-    inside = np.array(
-        [region.contains(z, region.newton_tol) for z in polished], dtype=bool
-    )
+    inside = np.array([region.contains(z, NEWTON_TOL) for z in polished], dtype=bool)
     out_of_region = int(inside.size - inside.sum())
     pts = polished[inside]
     terms = den.shifted_terms(pts)[0]  # the numerator's terms too
@@ -243,7 +253,7 @@ def find_zeros_of_sums(sums: WamSums, region: SearchRegion) -> ZeroSearch:
     num = np.abs(_serial_product(terms, sums.numerator.weights))
     removable = num < REMOVABLE_RTOL * _serial_product(np.abs(terms), sums.numerator.weights)
 
-    kept = _dedup(pts, residuals, 10.0 * region.newton_tol)
+    kept = _dedup(pts, residuals, 10.0 * NEWTON_TOL)
     dedup_dropped = int(pts.size - len(kept))
 
     records = []
@@ -261,24 +271,6 @@ def find_zeros_of_sums(sums: WamSums, region: SearchRegion) -> ZeroSearch:
         out_of_region=out_of_region,
         deduplicated=dedup_dropped,
     )
-
-
-def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
-    """Zeros of the denominator of wam(n, s) inside the region.
-
-    Every grid cell (default step 0.05) where both Re f and Im f change
-    sign seeds a Newton run; converged points are filtered to the region,
-    deduplicated within 10x newton_tol (smaller residual wins), and
-    classified pole/removable by the relative size of the numerator.
-
-    >>> from wamlab.arith import factor
-    >>> search = find_zeros(factor(6), SearchRegion(-1.0, 1.0, 0.0, 10.0))
-    >>> [round(r.location.imag, 6) for r in search.records]
-    [6.821234]
-    >>> search.records[0].classification.value
-    'removable'
-    """
-    return find_zeros_of_sums(integer_wam_sums(f), region)
 
 
 @functools.cache
@@ -373,7 +365,8 @@ def critical_line_probe(
     at fixed spacing) refines to a superset grid, and every sample is judged
     by its pointwise value, which is what makes the reported minimum
     monotone under refinement.  Requires m >= 3, where
-    denominator zeros genuinely are poles of a nonconstant wam.
+    denominator zeros genuinely are poles of a nonconstant wam.  More than
+    2^32 samples raise MemoryError before any is taken.
     """
     if len(f.primes) < 3:
         raise ValueError("the critical-line probe requires m >= 3")
@@ -381,6 +374,8 @@ def critical_line_probe(
         raise ValueError(f"b_max must be positive and finite, got {b_max}")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if not samples <= _PROBE_MAX_SAMPLES:
+        raise MemoryError("the critical-line probe takes at most 2^32 samples")
     a = critical_abscissa(f).a_crit
     den = integer_wam_sums(f).denominator
     step = b_max / samples

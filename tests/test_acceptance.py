@@ -70,17 +70,19 @@ SAMPLE_TRIPLES = [
 ]
 ABSCISSA_TOL = 1e-6
 
-# A pole of wam to the right of the stated target, for five of the six
-# triples: (c, stated target, pole as printed by the search).  Each was
-# found by find_zeros on the strip [stated - 0.1, a_crit + 0.1] x [0, 2e4].
-# For c = 363182463 (stated 6.27) no pole turned up below Im 2e4, but
-# g(6.27) = 1.0012 > 1 puts that target left of the root as well.
+# A pole of wam to the right of the stated target, for each of the six
+# triples: (c, stated target, pole as printed by the search).  The first
+# five were found by find_zeros on the strip [stated - 0.1, a_crit + 0.1]
+# x [0, 2e4].  For c = 363182463 (stated 6.27) none turned up below Im
+# 2e4; its witness was polished from a_crit - 0.01 + 33261.4i, where
+# `critical-line --bmax 1e5 --samples 1000000` puts the minimum of |f|.
 POLE_WITNESSES = [
     (1484375, 2.61, complex(2.620906956, 11494.47251185)),
     (61009, 3.48, complex(3.483711676, 296.1086285136)),
     (9765625, 5.82, complex(5.881314926, 16517.31204254)),
     (46137344, 1.70, complex(1.724814929, 19005.27645733)),
     (135443891, 2.45, complex(2.524601856, 11825.00148990)),
+    (363182463, 6.27, complex(6.275788940392628, 33261.39684439615)),
 ]
 
 

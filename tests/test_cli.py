@@ -140,11 +140,12 @@ class TestTableCommands:
         assert int(meta["converged"]) == len(rows) + dropped
 
     def test_zeros_negative_range_parses(self):
-        code, out, _ = run(["zeros", "30", "--re", "-1:2.5", "--im", "-20:20"])
-        assert code == 0
-        rows = list(csv.DictReader(body_lines(out)))
-        imags = sorted(float(r["im"]) for r in rows)
-        assert imags[0] < 0 < imags[-1]
+        for re in ("-1:2.5", "-.5:2.5"):
+            code, out, _ = run(["zeros", "30", "--re", re, "--im", "-20:20"])
+            assert code == 0
+            rows = list(csv.DictReader(body_lines(out)))
+            imags = sorted(float(r["im"]) for r in rows)
+            assert imags[0] < 0 < imags[-1]
 
     def test_em_hist_from_generation(self):
         code, out, _ = run(["em-hist", "--gen", "10000", "--min-quality", "1.0"])
@@ -399,6 +400,9 @@ class TestExitCodes:
             ["heatmap", "--gen", "100", "--re", "0:0.001", "--step", "1e-9"],
             ["zeros", "30", "--step", "1e-9"],
             ["zeros", "30", "--step", "1e-320"],
+            ["critical-line", "30030", "--bmax", "1e300"],
+            ["critical-line", "30030", "--bmax", "1e308"],
+            ["critical-line", "30030", "--bmax", "10", "--samples", str(10**18)],
         ],
     )
     def test_oversized_grids_are_refused_before_allocation(self, argv):
@@ -422,6 +426,9 @@ class TestExitCodes:
             (["zeros", "30", "--im", "0:inf"], "finite"),
             (["heatmap", "--gen", "100", "--cap", "nan"], "cap"),
             (["heatmap", "--gen", "100", "--cap", "inf"], "cap"),
+            (["critical-line", "30030", "--bmax", "-inf"], "b_max must be positive and finite"),
+            (["zeros", "30", "--re", "-inf:0"], "must be finite"),
+            (["zeros", "30", "--re", "-NaN:0"], "region"),
         ],
     )
     def test_non_finite_inputs_are_bad_input(self, argv, names):

@@ -283,6 +283,34 @@ class TestIrreducibility:
             for poly in all_monic(3, n):
                 assert is_irreducible(poly) == oracle_irreducible(poly), str(poly)
 
+    @pytest.mark.parametrize("q", (2, 3, 5, 65521))
+    def test_matches_sympy_above_exhaustive_degrees(self, q):
+        # Degrees 9..40: random polynomials, irreducibles g, squares g^2 and
+        # products g*h of two distinct irreducibles of one degree, where
+        # only the first distinct-degree part can tell.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(9000 + q)
+
+        def sympy_irreducible(poly):
+            return sympy.Poly(poly.coefficients[::-1], x, modulus=q).is_irreducible
+
+        def random_irreducible(d):
+            while True:
+                poly = FpPoly(q, tuple(rng.randrange(q) for _ in range(d)) + (1,))
+                if sympy_irreducible(poly):
+                    return poly
+
+        cases = [random_poly(rng, q, 40) for _ in range(8)]
+        cases = [p for p in cases if p.degree >= 9]
+        for d in (9, rng.randint(10, 16), rng.randint(17, 20)):
+            g = h = random_irreducible(d)
+            while h == g:
+                h = random_irreducible(d)
+            cases += [g, g * g, FpPoly(q, (rng.randrange(1, q),)) * g * h]
+        for poly in cases:
+            assert is_irreducible(poly) == sympy_irreducible(poly), str(poly)
+
     def test_non_monic_handled(self):
         # 2x^2 + 2x + 2 = 2(x^2 + x + 1) over F_3; the monic part decides.
         assert is_irreducible(FpPoly.parse("2,2,2@3")) == is_irreducible(

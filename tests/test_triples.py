@@ -86,6 +86,11 @@ class TestValidateTriple:
         with pytest.raises(NotATriple):
             validate_triple(*abc)
 
+    def test_rejects_product_above_factoring_limit(self):
+        # Each entry factors on its own, but abc >= 2^127 is out of range.
+        with pytest.raises(ValueError, match="2\\^127"):
+            validate_triple(1, 2**64, 2**64 + 1)
+
     def test_wam_of_triple_product_is_finite_at_one(self):
         t = validate_triple(3, 125, 128)
         value = wam_at(t.abc_factorization, 1.0).value
