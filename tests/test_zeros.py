@@ -374,7 +374,9 @@ class TestRegionValidation:
             dict(re_min=1.0, re_max=0.0, im_min=0.0, im_max=1.0),
             dict(re_min=0.0, re_max=1.0, im_min=2.0, im_max=1.0),
             dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, grid_step=0.0),
+            dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, grid_step=-0.05),
             dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, grid_step=math.nan),
+            dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=1.0, grid_step=math.inf),
             dict(re_min=0.0, re_max=1.0, im_min=0.0, im_max=math.inf),
             dict(re_min=-math.inf, re_max=1.0, im_min=0.0, im_max=1.0),
             dict(re_min=math.nan, re_max=1.0, im_min=0.0, im_max=1.0),
