@@ -1,10 +1,15 @@
 """Integer factorization primitives sized for 128-bit inputs.
 
 Factorizations are the substrate for every weighted-multiplicity computation in
-this package, so this module keeps its own primality test and Pollard rho
-splitter instead of delegating: the rho iteration budget is part of the public
-contract (`FactorizationBudgetExceeded`), and callers rely on the exponent
-ordering guarantees of :class:`Factorization`.
+this package, so this module keeps its own primality test and splitter instead
+of delegating: the iteration budget is part of the public contract
+(`FactorizationBudgetExceeded`), and callers rely on the exponent ordering
+guarantees of :class:`Factorization`.
+
+A composite is split in three phases that draw on one budget: a short Brent
+rho walk, which finds a factor below about n^(1/3); Hart's one-line square
+search (a vectorized form of Lehman's method), which finds the balanced
+factors of n below about 2^91; and Brent rho again, with whatever is left.
 """
 
 from __future__ import annotations
@@ -14,8 +19,21 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 MAX_VALUE = 1 << 127
 DEFAULT_RHO_BUDGET = 10**8
+
+# The phases of _split.  The first rho walk stops after about
+# _RHO_PROBE * n^(1/6) steps, which finds a factor below n^(1/3) (rho needs
+# about sqrt(p) steps).  The square search then runs up to _OLF_SPAN * n^(1/3)
+# trials, Lehman's range, in numpy chunks of _OLF_CHUNK, and only while
+# k n i <= _OLF_LIMIT, where its uint64 and float64 steps are exact.
+_RHO_PROBE = 4
+_OLF_SPAN = 1
+_OLF_MULT = 480
+_OLF_CHUNK = 4096
+_OLF_LIMIT = 1 << 100
 
 # Deterministic Miller-Rabin witness ladder.  Each entry (bound, bases) is a
 # set of bases with no composite strong pseudoprime below the bound; the last
@@ -51,7 +69,8 @@ _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 class FactorizationBudgetExceeded(RuntimeError):
-    """Pollard rho spent its iteration budget on a single composite."""
+    """Splitting one composite spent the whole budget of rho steps and
+    square-search trials."""
 
 
 def _mr_witness(n: int, a: int, d: int, r: int) -> bool:
@@ -181,6 +200,34 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int | None, int]:
     return (g, spent) if g != n else (None, spent)
 
 
+def _one_line(n: int, trials: int) -> tuple[int | None, int]:
+    """Hart's one-line factoring of odd composite n, for i = 1 .. trials.
+
+    With k = _OLF_MULT, s = ceil(sqrt(k n i)) and m = s^2 - k n i: if m = t^2
+    then gcd(s - t, n) may split n.  Needs k n trials <= _OLF_LIMIT = 2^100,
+    so s <= 2^50 and m < 2^53: the wrapped uint64 difference is exact and
+    float64 finds t exactly.  Returns (factor or None, trials spent).
+    """
+    kn = _OLF_MULT * n
+    kn_low = np.uint64(kn & 0xFFFF_FFFF_FFFF_FFFF)
+    root_kn = math.sqrt(kn)
+    for lo in range(1, trials + 1, _OLF_CHUNK):
+        i = np.arange(lo, min(lo + _OLF_CHUNK, trials + 1), dtype=np.uint64)
+        kni = kn_low * i  # k n i mod 2^64
+        s = np.ceil(root_kn * np.sqrt(i)).astype(np.uint64)
+        # s is within 1 of the true ceiling; m wraps back into int64 exactly.
+        m = (s * s - kni).view(np.int64)
+        s += m < 0
+        s -= m >= (2 * s - 1).view(np.int64)
+        m = s * s - kni
+        t = np.sqrt(m.astype(np.float64)).astype(np.uint64)
+        for j in np.flatnonzero(t * t == m):
+            g = math.gcd(int(s[j]) - int(t[j]), n)
+            if 1 < g < n:
+                return g, lo + int(j)
+    return None, trials
+
+
 def _split(n: int, counts: dict[int, int], budget: int) -> None:
     # n odd, free of factors below 2^12.
     if n == 1:
@@ -195,11 +242,16 @@ def _split(n: int, counts: dict[int, int], budget: int) -> None:
         return
     remaining = budget
     for attempt in range(64):
-        g, spent = _brent_rho(n, attempt, remaining)
+        cap = remaining if attempt else min(remaining, int(_RHO_PROBE * n ** (1 / 6)))
+        g, spent = _brent_rho(n, attempt, cap)
         remaining -= spent
+        if g is None and attempt == 0 and remaining > 0:
+            trials = min(remaining, int(_OLF_SPAN * n ** (1 / 3)), _OLF_LIMIT // (_OLF_MULT * n))
+            g, spent = _one_line(n, trials)
+            remaining -= spent
         if remaining <= 0 and g is None:
             raise FactorizationBudgetExceeded(
-                f"rho budget {budget} exhausted splitting {n}"
+                f"factoring budget {budget} exhausted splitting {n}"
             )
         if g is not None and 1 < g < n:
             _split(g, counts, budget)

@@ -416,7 +416,8 @@ def _build_parser() -> _Parser:
 
     p = add("factor", _cmd_factor, help="prime factorization of N")
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=10**8,
+                   help="rho steps plus square-search trials per composite split")
 
     p = add("wam", _cmd_wam, help="wam(N, s) at a complex point")
     p.add_argument("n", type=int)

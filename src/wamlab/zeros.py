@@ -65,11 +65,11 @@ class SearchRegion:
     grid_step: float = 0.05
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError("region must have positive extent on both axes")
         knobs = (self.re_min, self.re_max, self.im_min, self.im_max, self.grid_step)
         if not all(map(math.isfinite, knobs)):
             raise ValueError("region edges and grid_step must be finite")
+        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+            raise ValueError("region must have positive extent on both axes")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
 

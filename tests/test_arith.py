@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given
 
 from conftest import FULL, factorizations
+from wamlab import arith
 from wamlab.arith import (
     _MR_LADDER,
+    _OLF_LIMIT,
+    _OLF_MULT,
+    _RHO_PROBE,
+    _brent_rho,
+    _one_line,
+    _split,
+    DEFAULT_RHO_BUDGET,
     MAX_VALUE,
     Factorization,
     FactorizationBudgetExceeded,
@@ -45,7 +53,8 @@ def next_prime_at_least(n):
 
 
 # Two primes big enough that Pollard rho needs far more than a handful of
-# iterations, yet small enough that the default budget splits them quickly.
+# iterations.  At the default budget the square search splits their product:
+# q is close to 2p, so 480 * 15 * p * q = (30(2p + q))^2 - (30(2p - q))^2.
 HARD_P = next_prime_at_least(1 << 36)
 HARD_Q = next_prime_at_least(1 << 37)
 HARD_SEMIPRIME = HARD_P * HARD_Q
@@ -109,6 +118,117 @@ class TestFactorCorrectness:
         assert factor(1 << 126).pairs() == ((2, 126),)
 
 
+def random_prime(rng, bits):
+    while True:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if is_prime(p):
+            return p
+
+
+def random_semiprimes(seed, p_bits, q_bits, count):
+    rng = random.Random(seed)
+    return [random_prime(rng, p_bits) * random_prime(rng, q_bits) for _ in range(count)]
+
+
+def close_pair(p_floor):
+    """Consecutive primes p < q from p_floor, whose product the square search
+    splits on trial 30: 480 * 30 = 120^2, so 480 * 30 * p q = s^2 - t^2 with
+    s = 60(p + q), t = 60(q - p), and t^2 < 2s - 1 makes s the ceiling."""
+    p = next_prime_at_least(p_floor)
+    q = next_prime_at_least(p + 1)
+    assert (60 * (q - p)) ** 2 < 2 * 60 * (p + q) - 1
+    return p, q
+
+
+def reference_one_line(n, trials):
+    """Hart's one-line factoring on Python ints, the way _one_line documents it."""
+    for i in range(1, trials + 1):
+        kni = _OLF_MULT * n * i
+        s = math.isqrt(kni - 1) + 1
+        m = s * s - kni
+        t = math.isqrt(m)
+        if t * t == m and 1 < (g := math.gcd(s - t, n)) < n:
+            return g, i
+    return None, trials
+
+
+def sympy_pairs(n):
+    sympy = pytest.importorskip("sympy")
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+class TestSplitPhases:
+    """The three phases of _split: a short rho walk, the square search, rho."""
+
+    @pytest.mark.parametrize("bits", [32, 40, 48, 56, 62, 64])
+    def test_balanced_semiprimes_match_sympy(self, bits):
+        for n in random_semiprimes(bits, bits // 2, bits - bits // 2, 6):
+            assert factor(n).pairs() == sympy_pairs(n), n
+
+    @pytest.mark.parametrize("p_bits,q_bits", [(13, 35), (16, 36), (20, 40), (24, 38)])
+    def test_unbalanced_semiprimes_match_sympy(self, p_bits, q_bits):
+        for n in random_semiprimes(p_bits, p_bits, q_bits, 6):
+            assert factor(n).pairs() == sympy_pairs(n), n
+
+    def test_products_whose_multiple_wraps_uint64(self):
+        # 480 n >= 2^64 just above n = 2^55, so k n i is only known mod 2^64.
+        ns = [n for n in random_semiprimes(55, 28, 28, 20) if n > (1 << 64) // _OLF_MULT]
+        assert len(ns) >= 5
+        for n in ns:
+            assert factor(n).pairs() == sympy_pairs(n), n
+        p, q = close_pair(1 << 28)
+        assert p * q > (1 << 64) // _OLF_MULT
+        assert _one_line(p * q, 30) in ((p, 30), (q, 30))
+
+    def test_square_search_at_its_exactness_limit(self):
+        # Products for which trial 30 is the last with 480 n i <= 2^100.  There
+        # s is near 2^50, and its float root is at times one too large.
+        top = math.isqrt(_OLF_LIMIT // (30 * _OLF_MULT))
+        float_misses = 0
+        for k in range(1, 25):
+            p, q = close_pair(top - k * 250_000)
+            n = p * q
+            assert _OLF_LIMIT // (_OLF_MULT * n) == 30
+            s_float = math.ceil(math.sqrt(_OLF_MULT * n) * math.sqrt(30))
+            float_misses += s_float != 60 * (p + q)
+            assert _one_line(n, 30) in ((p, 30), (q, 30))
+            assert factor(n).pairs() == sympy_pairs(n)
+        assert float_misses > 0
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            *random_semiprimes(40, 20, 20, 3),
+            *random_semiprimes(56, 28, 28, 3),
+            *random_semiprimes(80, 40, 40, 3),
+            *random_semiprimes(88, 44, 44, 3),
+            HARD_SEMIPRIME,
+        ],
+    )
+    def test_vectorized_search_matches_python_ints(self, n):
+        trials = min(20_000, _OLF_LIMIT // (_OLF_MULT * n))
+        assert _one_line(n, trials) == reference_one_line(n, trials)
+
+    def test_roadmap_example(self):
+        n = ((1 << 40) - 87) * ((1 << 40) - 167)
+        assert factor(n).pairs() == sympy_pairs(n)
+
+    def test_above_the_search_range_rho_splits_alone(self, monkeypatch):
+        n = 1000003 * ((1 << 89) - 1)
+        assert _OLF_LIMIT // (_OLF_MULT * n) == 0
+        trials = []
+
+        def spy(n, t):
+            trials.append(t)
+            return _one_line(n, t)
+
+        monkeypatch.setattr(arith, "_one_line", spy)
+        counts = {}
+        _split(n, counts, DEFAULT_RHO_BUDGET)
+        assert tuple(sorted(counts.items())) == sympy_pairs(n)
+        assert set(trials) <= {0}
+
+
 class TestFactorDomain:
     @pytest.mark.parametrize("bad", [0, -1, -72])
     def test_rejects_non_positive(self, bad):
@@ -132,6 +252,19 @@ class TestFactorDomain:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(FactorizationBudgetExceeded):
             factor(HARD_SEMIPRIME, budget=50)
+
+    def test_square_search_trials_draw_on_the_budget(self):
+        n = random_semiprimes(48, 24, 24, 1)[0]
+        with pytest.raises(FactorizationBudgetExceeded):
+            factor(n, budget=100)
+        # One unit of budget per trial: the close pair splits on trial 30 with
+        # the probe walk's steps plus 30, and not with one unit less.
+        p, q = close_pair(1 << 24)
+        g, probe = _brent_rho(p * q, 0, int(_RHO_PROBE * (p * q) ** (1 / 6)))
+        assert g is None and reference_one_line(p * q, 30) in ((p, 30), (q, 30))
+        with pytest.raises(FactorizationBudgetExceeded):
+            factor(p * q, budget=probe + 29)
+        assert factor(p * q, budget=probe + 30).pairs() == ((p, 1), (q, 1))
 
     def test_budget_error_is_runtime_error(self):
         assert issubclass(FactorizationBudgetExceeded, RuntimeError)

@@ -428,7 +428,7 @@ class TestExitCodes:
             (["heatmap", "--gen", "100", "--cap", "inf"], "cap"),
             (["critical-line", "30030", "--bmax", "-inf"], "b_max must be positive and finite"),
             (["zeros", "30", "--re", "-inf:0"], "must be finite"),
-            (["zeros", "30", "--re", "-NaN:0"], "region"),
+            (["zeros", "30", "--re", "-NaN:0"], "must be finite"),
         ],
     )
     def test_non_finite_inputs_are_bad_input(self, argv, names):
