@@ -52,16 +52,17 @@ _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
-def _small_prime_list(limit: int) -> list[int]:
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if sieve[i]]
+def _primes_upto(limit: int) -> list[int]:
+    """The primes p <= limit, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
-_SMALL_PRIMES = _small_prime_list(1 << 12)
+_SMALL_PRIMES = _primes_upto(1 << 12)
 _SMALL_PRIME_SET = set(_SMALL_PRIMES)
 #: The product of the primes below 2^12 (5,811 bits): one gcd with it finds
 #: every small prime factor of n at once.

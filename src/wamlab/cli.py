@@ -2,9 +2,11 @@
 
 All outputs are deterministic for a fixed argv: ASCII, LF line endings,
 shortest-repr floats, and a '#' metadata header (tool version,
-natural-log contract, caps) on every CSV.  Exit codes: 0 success,
-1 validation/usage error, 2 exhausted budget, oversized grid or failed
-convergence.
+natural-log contract, caps) on every CSV.  a_crit, wam and the zeros do
+not depend on the log base, but critical-line's min_abs_f, the absolute
+|sum_k (ln p_k)^s|, scales by (ln b)^(-a_crit) in base b.  Exit codes:
+0 success, 1 validation/usage error or an unusable file path, 2 exhausted
+budget, oversized grid or failed convergence.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _cmd_zeros(args, out: _Output):
                 r.numerator_magnitude,
                 r.classification.value,
             ]
-            for r in search
+            for r in search.records
         ],
     )
 
@@ -481,6 +483,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = _Output(args, args.command)
     try:
         args.func(args, out)
+        out.write()
     except (
         FactorizationBudgetExceeded,
         EnumerationBudget,
@@ -490,10 +493,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"wamlab: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"wamlab: {exc}", file=sys.stderr)
         return 1
-    out.write()
     return 0
 
 

@@ -80,7 +80,7 @@ def is_wam_constant(f: Factorization) -> bool:
 
 
 def critical_abscissa(f: Factorization) -> CriticalProfile:
-    """Solve g(a) = 1 by bisection to |delta a| < 1e-10.
+    """Solve g(a) = 1 by bisection to |delta a| <= 1e-10, or one ulp.
 
     m = 1 has no equation (a_crit = None); m = 2 gives g(0) = 1 exactly,
     so a_crit = 0 with no solver run.
@@ -141,11 +141,12 @@ def _bisect(log_ratios: np.ndarray) -> np.ndarray:
     else:
         raise RuntimeError("bisection bracket expansion failed")
     # g(lo) > 1 is automatic for m >= 3: g decreases and g(0) = m - 1 >= 2.
-    # Each row stops at its own first hi - lo <= BISECT_TOL.
+    # Each row stops at its own first hi - lo <= BISECT_TOL, or at one ulp of
+    # hi where that is wider (a_crit above 2^19), as no float lies between.
     roots = np.empty(rows)
     live = np.arange(rows)
     while True:
-        wide = hi - lo > BISECT_TOL
+        wide = hi - lo > np.maximum(BISECT_TOL, np.spacing(hi))
         still = np.count_nonzero(wide)
         if still < live.size:
             roots[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])

@@ -496,9 +496,8 @@ def validate_poly_triple(a: FpPoly, b: FpPoly, c: FpPoly) -> PolyAbcTriple:
         raise InvalidPolyTriple("zero entries are not allowed")
     if (a + b) != c:
         raise InvalidPolyTriple("a + b != c")
-    for u, v in ((a, b), (b, c), (a, c)):
-        if u.gcd(v).degree != 0:
-            raise InvalidPolyTriple(f"common factor {u.gcd(v)}")
+    if a.gcd(b).degree != 0:  # with a + b = c this covers all three pairs
+        raise InvalidPolyTriple(f"common factor {a.gcd(b)}")
     if a.derivative().is_zero and b.derivative().is_zero and c.derivative().is_zero:
         raise InvalidPolyTriple("all formal derivatives vanish")
     return PolyAbcTriple(a, b, c)
@@ -512,9 +511,11 @@ def poly_wam(t: PolyAbcTriple, s: complex) -> WamEvaluation:
     >>> poly_wam(t, 1).value
     (1+0j)
     """
-    f = poly_factor(t.a * t.b * t.c)
-    heights = [float(p.degree) for p, _ in f.factors]
-    exps = [e for _, e in f.factors]
+    # a, b and c are pairwise coprime, so their factors merge as they are.
+    _, heights, exps = zip(*sorted(
+        (p.sort_key(), float(p.degree), e)
+        for x in (t.a, t.b, t.c) for p, e in poly_factor(x).factors
+    ))
     return evaluate_wam(wam_sums(heights, exps), s)
 
 

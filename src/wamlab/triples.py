@@ -22,6 +22,7 @@ from .arith import (
     MAX_VALUE,
     Factorization,
     FactorizationBudgetExceeded,
+    _primes_upto,
     factor,
 )
 from .wamcore import integer_wam_sums
@@ -159,12 +160,7 @@ def write_dataset(path: str | os.PathLike, triples: Iterable[AbcTriple]) -> None
 def _radical_sieve(limit: int) -> np.ndarray:
     """rad(x) for x in [0, limit] (rad(0) := 1), as int32."""
     rad = np.ones(limit + 1, dtype=np.int32)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    for p in np.flatnonzero(is_prime).tolist():
+    for p in _primes_upto(limit):
         rad[p::p] *= p
     return rad
 

@@ -259,10 +259,7 @@ def mersenne_factorization(n: int) -> Factorization:
     """Factorization of m = 2^n * (2^n - 1)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    odd = factor(2**n - 1)
-    return Factorization(
-        2**n * odd.value, (2,) + odd.primes, (n,) + odd.exponents
-    )
+    return factor(2**n * (2**n - 1))
 
 
 @dataclass(frozen=True)

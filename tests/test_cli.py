@@ -201,6 +201,13 @@ class TestTableCommands:
             assert int(row["p_m"]) == f.primes[-1]
             assert row["a_crit"] == _fmt(critical_abscissa(f).a_crit)
 
+    @pytest.mark.parametrize("n", ["23", "25"])
+    def test_poly_triple_past_a_third_of_the_factoring_degree(self, n):
+        # a*b*c has degree 3n > 64, which poly_factor refuses; a, b and c do not.
+        code, out, err = run(["poly-triple", "--q", "2", "--n", n])
+        assert (code, err) == (0, "")
+        assert list(csv.DictReader(body_lines(out)))[0]["mason_holds"] == "true"
+
     def test_poly_triple_cells_parse_back(self):
         code, out, _ = run(["poly-triple", "--q", "5", "--n", "3"])
         assert code == 0
@@ -372,6 +379,7 @@ class TestExitCodes:
             ["cyclo", "--p", "4", "--s", "1"],
             ["poly-triple", "--q", "2", "--n", "20"],
             ["critical-line", "6", "--bmax", "100", "--samples", "10"],
+            ["critical-line", "1000650100302451", "--bmax", "100"],  # |f| overflows there
             ["wam", "1000003", "--s=-1e308"],
             ["cyclo", "--p", str(2**127 - 1), "--s", "1e306"],
         ],
@@ -436,6 +444,22 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("wamlab:") and names in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("case", ["missing dataset", "directory dataset", "missing out dir"])
+    def test_file_errors_are_bad_input(self, tmp_path, case):
+        argv = {
+            "missing dataset": ["heatmap", "--triples", str(tmp_path / "missing.txt")],
+            "directory dataset": ["em-hist", "--triples", str(tmp_path)],
+            "missing out dir": ["factor", "72", "--out", str(tmp_path / "no" / "x.csv")],
+        }[case]
+        src = os.path.dirname(os.path.dirname(wamlab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "wamlab.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("wamlab:") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_usage_failures(self):
         assert run([])[0] == 1

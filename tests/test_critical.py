@@ -37,7 +37,12 @@ def oracle_abscissa(primes, mpmath):
     """
     with mpmath.workdps(30):
         top = mpmath.log(mpmath.log(primes[-1]))
-        rates = [mpmath.log(mpmath.log(p)) - top for p in primes[:-1]]
+        return oracle_root([mpmath.log(mpmath.log(p)) - top for p in primes[:-1]], mpmath)
+
+
+def oracle_root(rates, mpmath):
+    """The root of sum_k exp(a r_k) = 1 for negative rates r_k, to 30 digits."""
+    with mpmath.workdps(30):
 
         def h(a):
             return mpmath.fsum(mpmath.exp(a * r) for r in rates) - 1
@@ -200,6 +205,32 @@ class TestCriticalAbscissa:
         mpmath = pytest.importorskip("mpmath")
         exact = oracle_abscissa(f.primes, mpmath)
         assert abs(critical_abscissa(f).a_crit - exact) < 1e-9
+
+    # Above 2^19 one ulp exceeds BISECT_TOL, so only the one-ulp stop ends the
+    # loop.  a_crit 4.1e5 lies below, where the one-row loop's result holds.
+    @pytest.mark.parametrize(
+        "primes",
+        [
+            (400009, 400031, 400033),
+            (1000003, 1000033, 1000037),
+            (1000000000039, 1000000000061, 1000000000063),
+        ],
+    )
+    def test_high_abscissa_stops_at_one_ulp(self, primes):
+        mpmath = pytest.importorskip("mpmath")
+        f = squarefree(primes)
+        a = critical_abscissa(f).a_crit
+        # Against the root of g on the float log ratios the solver uses.
+        logs = np.log([float(p) for p in primes])
+        rates = np.log(logs[:-1]) - math.log(logs[-1])
+        assert abs(a - oracle_root(rates.tolist(), mpmath)) <= 1e-12 * a
+        # Against the exact root, within what rounding the log ratios allows:
+        # an error d in every rate moves a_crit by at most a * d / min |r|.
+        exact = oracle_abscissa(primes, mpmath)
+        d = 4 * np.spacing(math.log(math.log(primes[-1])))
+        assert abs(a - exact) <= a * d / np.abs(rates).min()
+        if a < 2**19:
+            assert a == scalar_abscissa(f)
 
     def test_close_primes_push_the_abscissa_high(self):
         f = Factorization.from_pairs([(83, 1), (89, 1), (97, 1)])

@@ -26,8 +26,11 @@ from wamlab.ffpoly import (
     validate_poly_triple,
 )
 from wamlab.ffpoly import _ldivmod, _llist, _lmul, _ModRing
+from wamlab.wamcore import evaluate_wam, wam_sums
 
 FIELD_SIZES = (2, 3, 5, 7, 13)
+#: The (q, n) of the benchmark's poly-triple runs.
+BENCH_POLY_TRIPLES = ((2, 17), (2, 19), (2, 21), (3, 13), (3, 14), (5, 8), (5, 9), (7, 8), (7, 9))
 
 
 def coefficient_lists(q, max_len=8):
@@ -408,6 +411,12 @@ class TestValidatePolyTriple:
         with pytest.raises(InvalidPolyTriple):
             validate_poly_triple(x, x, x + x)
 
+    def test_common_factor_message_names_the_gcd(self):
+        x, one = FpPoly.parse("0,1@2"), FpPoly.one(2)
+        b = x * (x + one)
+        with pytest.raises(InvalidPolyTriple, match="common factor 0,1@2"):
+            validate_poly_triple(x, b, x + b)
+
     def test_rejects_zero_entries(self):
         with pytest.raises((InvalidPolyTriple, ZeroPolynomial)):
             validate_poly_triple(
@@ -428,7 +437,26 @@ class TestValidatePolyTriple:
         assert t1 == t2
 
 
+def product_route_wam(t, s):
+    """poly_wam by factoring the product a*b*c, of degree up to 3n."""
+    f = poly_factor(t.a * t.b * t.c)
+    heights = [float(p.degree) for p, _ in f.factors]
+    return evaluate_wam(wam_sums(heights, [e for _, e in f.factors]), s)
+
+
 class TestPolyWam:
+    @pytest.mark.parametrize("q,n", BENCH_POLY_TRIPLES)
+    def test_equals_the_product_route(self, q, n):
+        t = pigeonhole_triple(q, n).triple
+        for s in (1.0, 0.0, -2.5, 0.5 + 3j):
+            assert poly_wam(t, s) == product_route_wam(t, s)
+
+    def test_random_triples_equal_the_product_route(self):
+        rng = random.Random(79)
+        for _ in range(20):
+            t = random_poly_triple(rng, rng.choice((2, 3, 5)), 10)
+            assert poly_wam(t, 1.0) == product_route_wam(t, 1.0)
+
     def test_linear_triple_is_constant_one(self):
         t = validate_poly_triple(
             FpPoly.parse("1@2"), FpPoly.parse("0,1@2"), FpPoly.parse("1,1@2")

@@ -125,6 +125,7 @@ class TestTwoPrimeClosedForm:
         search = find_zeros(factor(6), STRIP_TO_50)
         expected = [6.821234041066631, 20.46370212319989, 34.10617020533315, 47.748638287466406]
         assert len(search.records) == len(expected)
+        assert len(search) == len(search.records)  # perfbench's tracer reads len(search)
         for record, b in zip(search.records, expected):
             assert abs(record.location - complex(0, b)) < 1e-8
 
@@ -319,6 +320,11 @@ class TestCriticalLineProbe:
     def test_requires_at_least_three_primes(self):
         with pytest.raises(ValueError):
             critical_line_probe(factor(6), 100.0, 2000)
+
+    def test_refuses_an_abscissa_whose_sum_overflows(self):
+        # a_crit 25507.23: sum_k (ln p_k)^a_crit is e^62328, past the doubles.
+        with pytest.raises(ValueError, match="a_crit = 25507.23"):
+            critical_line_probe(factor(100003 * 100019 * 100043), 100.0, 2000)
 
     @pytest.mark.parametrize("b_max", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_b_max_that_is_not_positive_and_finite(self, b_max):
