@@ -6,10 +6,15 @@ of delegating: the iteration budget is part of the public contract
 (`FactorizationBudgetExceeded`), and callers rely on the exponent ordering
 guarantees of :class:`Factorization`.
 
-A composite is split in three phases that draw on one budget: a short Brent
-rho walk, which finds a factor below about n^(1/3); Hart's one-line square
-search (a vectorized form of Lehman's method), which finds the balanced
-factors of n below about 2^91; and Brent rho again, with whatever is left.
+A composite is split in Lehman's order.  Below 2^64, one vectorized trial
+division first divides out every prime in (2^12, min(n^(1/3), 2^16)]; like
+the gcd with the primes below 2^12, it is a fixed amount of work and draws
+on no budget.  Three phases then draw on one budget: a short Brent rho walk,
+which finds a factor below about n^(1/3) and runs only where the trial
+division cannot have removed every such factor (n >= 2^48); Hart's one-line
+square search (a vectorized form of Lehman's method), which finds the
+balanced factors of n below about 2^91; and Brent rho again, with whatever
+is left.
 """
 
 from __future__ import annotations
@@ -24,11 +29,14 @@ import numpy as np
 MAX_VALUE = 1 << 127
 DEFAULT_RHO_BUDGET = 10**8
 
-# The phases of _split.  The first rho walk stops after about
-# _RHO_PROBE * n^(1/6) steps, which finds a factor below n^(1/3) (rho needs
-# about sqrt(p) steps).  The square search then runs up to _OLF_SPAN * n^(1/3)
-# trials, Lehman's range, in numpy chunks of _OLF_CHUNK, and only while
-# k n i <= _OLF_LIMIT, where its uint64 and float64 steps are exact.
+# The phases of _split.  Below 2^64 the trial division by _trial_primes()
+# comes first and costs no budget; below 2^48 it leaves no factor under
+# n^(1/3), so there the rho probe does not run.  Otherwise the first rho walk
+# stops within _RHO_PROBE * n^(1/6) steps, which finds a factor below n^(1/3)
+# (rho needs about sqrt(p) steps).  The square search then runs up to
+# _OLF_SPAN * n^(1/3) trials, Lehman's range, in numpy chunks of _OLF_CHUNK,
+# and only while k n i <= _OLF_LIMIT, where its uint64 and float64 steps are
+# exact.
 _RHO_PROBE = 4
 _OLF_SPAN = 1
 _OLF_MULT = 480
@@ -67,6 +75,14 @@ _SMALL_PRIME_SET = set(_SMALL_PRIMES)
 #: The product of the primes below 2^12 (5,811 bits): one gcd with it finds
 #: every small prime factor of n at once.
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+
+@lru_cache(maxsize=None)
+def _trial_primes() -> np.ndarray:
+    """The 5,978 primes in (2^12, 2^16] as uint64, which _split divides out
+    of n < 2^64.  Built on first use, so that the import does not pay for
+    the sieve."""
+    return np.array(_primes_upto(1 << 16)[len(_SMALL_PRIMES) :], dtype=np.uint64)
 
 
 class FactorizationBudgetExceeded(RuntimeError):
@@ -164,8 +180,10 @@ def is_prime(n: int) -> bool:
 def _brent_rho(n: int, seed: int, budget: int) -> tuple[int | None, int]:
     """One Brent-cycle rho run on odd composite n.
 
-    Returns (factor or None, iterations spent).  The returned factor may be
-    composite; callers split recursively.
+    Returns (g, iterations spent), with spent <= budget: g is a factor
+    1 < g < n, which may be composite (callers split recursively), or n if
+    the walk failed, or None if the budget ran out first.  A doubling round
+    costs 2r iterations and runs only if it fits in what is left.
     """
     rng = random.Random(seed * 0x9E3779B97F4A7C15 + n)
     y = rng.randrange(1, n)
@@ -175,6 +193,8 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int | None, int]:
     x = ys = y
     spent = 0
     while g == 1:
+        if spent + 2 * r > budget:
+            return None, spent
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -187,18 +207,16 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int | None, int]:
             g = math.gcd(q, n)
             k += m
         spent += 2 * r
-        if spent > budget:
-            return None, spent
         r *= 2
     if g == n:
         g = 1
         while g == 1:
+            if spent >= budget:
+                return None, spent
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
             spent += 1
-            if spent > budget:
-                return None, spent
-    return (g, spent) if g != n else (None, spent)
+    return g, spent
 
 
 def _one_line(n: int, trials: int) -> tuple[int | None, int]:
@@ -229,6 +247,18 @@ def _one_line(n: int, trials: int) -> tuple[int | None, int]:
     return None, trials
 
 
+def _trial_divide(n: int, counts: dict[int, int]) -> int:
+    """n < 2^64 with every prime in (2^12, min(n^(1/3), 2^16)] divided out
+    into counts: one numpy pass, Lehman's first step."""
+    cube = round(n ** (1 / 3))
+    cube -= cube**3 > n  # round() gives the floor of the cube root or one more
+    table = _trial_primes()
+    table = table[: table.searchsorted(np.uint64(cube), "right")]
+    for p in table[np.uint64(n) % table == 0].tolist():
+        n = _divide_out(n, p, counts)
+    return n
+
+
 def _split(n: int, counts: dict[int, int], budget: int) -> None:
     # n odd, free of factors below 2^12.
     if n == 1:
@@ -241,24 +271,33 @@ def _split(n: int, counts: dict[int, int], budget: int) -> None:
         _split(root, counts, budget)
         _split(root, counts, budget)
         return
+    if n < 1 << 64:
+        rem = _trial_divide(n, counts)
+        if rem < n:
+            _split(rem, counts, budget)
+            return
     remaining = budget
-    for attempt in range(64):
-        cap = remaining if attempt else min(remaining, int(_RHO_PROBE * n ** (1 / 6)))
-        g, spent = _brent_rho(n, attempt, cap)
+    g = None
+    if n >= 1 << 48:
+        g, spent = _brent_rho(n, 0, min(remaining, int(_RHO_PROBE * n ** (1 / 6))))
         remaining -= spent
-        if g is None and attempt == 0 and remaining > 0:
-            trials = min(remaining, int(_OLF_SPAN * n ** (1 / 3)), _OLF_LIMIT // (_OLF_MULT * n))
-            g, spent = _one_line(n, trials)
-            remaining -= spent
-        if remaining <= 0 and g is None:
+    if g is None or g == n:
+        trials = min(remaining, int(_OLF_SPAN * n ** (1 / 3)), _OLF_LIMIT // (_OLF_MULT * n))
+        g, spent = _one_line(n, trials)
+        remaining -= spent
+    attempt = 0
+    while g is None or g == n:
+        attempt += 1
+        if attempt == 64:
+            raise FactorizationBudgetExceeded(f"rho failed to split {n} after 64 restarts")
+        g, spent = _brent_rho(n, attempt, remaining)
+        if g is None:
             raise FactorizationBudgetExceeded(
                 f"factoring budget {budget} exhausted splitting {n}"
             )
-        if g is not None and 1 < g < n:
-            _split(g, counts, budget)
-            _split(n // g, counts, budget)
-            return
-    raise FactorizationBudgetExceeded(f"rho failed to split {n} after 64 restarts")
+        remaining -= spent
+    _split(g, counts, budget)
+    _split(n // g, counts, budget)
 
 
 @dataclass(frozen=True)
@@ -313,12 +352,12 @@ class Factorization:
 
 
 def _divide_out(rem: int, p: int, counts: dict[int, int]) -> int:
-    """rem with every factor p removed; counts[p] is the number removed."""
+    """rem with every factor p removed, their number added to counts[p]."""
     e = 0
     while rem % p == 0:
         rem //= p
         e += 1
-    counts[p] = e
+    counts[p] = counts.get(p, 0) + e
     return rem
 
 
@@ -361,6 +400,8 @@ def factor(n: int, *, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         raise ValueError(f"expected an integer, got {type(n).__name__}")
     if n < 1 or n >= MAX_VALUE:
         raise ValueError(f"n must satisfy 1 <= n < 2^127, got {n}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     return _factor(n, budget)
 
 

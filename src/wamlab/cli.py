@@ -374,6 +374,8 @@ def _cmd_cyclo(args, out: _Output):
 
 
 def _cmd_bounds_check(args, out: _Output):
+    if not 2 <= args.nmax <= 63:
+        raise ValueError(f"n_max must lie in [2, 63], got {args.nmax}")
     rows = []
     for n in range(2, args.nmax + 1):
         for re in BOUNDS_RE_GRID:
@@ -419,7 +421,8 @@ def _build_parser() -> _Parser:
     p = add("factor", _cmd_factor, help="prime factorization of N")
     p.add_argument("n", type=int)
     p.add_argument("--budget", type=int, default=10**8,
-                   help="rho steps plus square-search trials per composite split")
+                   help="rho steps plus square-search trials per composite split, "
+                        ">= 0; trial division below 2^64 is not counted")
 
     p = add("wam", _cmd_wam, help="wam(N, s) at a complex point")
     p.add_argument("n", type=int)

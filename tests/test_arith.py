@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import FULL, factorizations
@@ -229,6 +230,135 @@ class TestSplitPhases:
         assert set(trials) <= {0}
 
 
+def prev_prime_below(n):
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def composites_near(bound):
+    """Balanced and unbalanced products of two or three primes, some just
+    below `bound` and some just above it."""
+    root = math.isqrt(bound)
+    p, q = prev_prime_below(root), next_prime_at_least(root)
+    below = [prev_prime_below(p) * p, 65521 * prev_prime_below(bound // 65521)]
+    above = [q * next_prime_at_least(q + 1), 65521 * next_prime_at_least(bound // 65521 + 1)]
+    r = math.isqrt(bound // 4099)
+    below.append(4099 * prev_prime_below(r) * prev_prime_below(prev_prime_below(r)))
+    above.append(4099 * next_prime_at_least(r + 1) * next_prime_at_least(r + 2))
+    assert max(below) < bound < min(above)
+    return below + above
+
+
+class TestLehmanOrder:
+    """Below 2^64 the primes in (2^12, min(n^(1/3), 2^16)] are divided out
+    first; the rho probe runs only from 2^48 on; every walk keeps to its
+    budget."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # 4099 is the first prime above 2^12, 65521 the last below 2^16
+            # and 65537 the first above it.
+            4099 * 65521,
+            4099 * 65537,
+            65521 * 65537,
+            4099 * 65521 * 65537,
+            4099 * next_prime_at_least(1 << 40),
+            65521 * prev_prime_below(1 << 31),  # 65521 > n^(1/3) < 2^16
+            65521 * next_prime_at_least(1 << 33),  # n^(1/3) > 2^16
+            65537 * next_prime_at_least(1 << 33),
+            65537 * next_prime_at_least(1 << 50),
+            4099 * 65521 * ((1 << 31) - 1),
+            4099 * 65537 * ((1 << 61) - 1),
+            65521 * 65537 * next_prime_at_least(1 << 40),
+            *composites_near(1 << 48),
+            *composites_near(1 << 64),
+        ],
+    )
+    def test_products_match_sympy(self, n):
+        assert factor(n).pairs() == sympy_pairs(n), n
+        assert factor(n, budget=10**7).pairs() == sympy_pairs(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            4099**2,
+            4111**2,
+            4099**3,
+            4111**3,
+            4099**2 * 4111,
+            (4099 * 4111) ** 2,
+            4099**3 * 4111**2,
+            4099**5,
+            (4099 * 4111) ** 3,  # above 2^64: no trial division
+            4099**2 * next_prime_at_least(1 << 40),
+            4099**3 * 65521**2,
+        ],
+    )
+    def test_powers_of_primes_above_2_12_match_sympy(self, n):
+        assert factor(n).pairs() == sympy_pairs(n), n
+
+    def test_composite_below_2_48_split_for_an_n_above_2_64(self, monkeypatch):
+        rng = random.Random(4848)
+        p, q = random_prime(rng, 24), random_prime(rng, 24)
+        n = (p * q) ** 2
+        assert n >= 1 << 64 and p * q < 1 << 48
+        seen = []
+
+        def spy(m, counts, budget):
+            seen.append(m)
+            return _split(m, counts, budget)
+
+        monkeypatch.setattr(arith, "_split", spy)
+        counts = {}
+        _split(n, counts, DEFAULT_RHO_BUDGET)
+        assert p * q in seen
+        assert tuple(sorted(counts.items())) == sympy_pairs(n)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(20, 80),
+        st.integers(0, 63),
+        st.integers(0, 5000),
+    )
+    def test_walks_keep_to_their_budget(self, rng_seed, bits, seed, budget):
+        n = random_semiprimes(rng_seed, bits // 2, bits - bits // 2, 1)[0]
+        g, spent = _brent_rho(n, seed, budget)
+        assert 0 <= spent <= budget
+        if g is not None:
+            assert 1 < g <= n and n % g == 0
+            # A bigger budget only lets the same walk run longer.
+            assert _brent_rho(n, seed, DEFAULT_RHO_BUDGET) == (g, spent)
+
+    def test_square_search_splits_48_bit_semiprimes_without_rho(self, monkeypatch):
+        steps = []
+
+        def spy(n, seed, budget):
+            g, spent = _brent_rho(n, seed, budget)
+            steps.append(spent)
+            return g, spent
+
+        monkeypatch.setattr(arith, "_brent_rho", spy)
+        for n in random_semiprimes(4848, 24, 24, 10):
+            assert n < 1 << 48
+            counts = {}
+            _split(n, counts, DEFAULT_RHO_BUDGET)
+            assert tuple(sorted(counts.items())) == sympy_pairs(n)
+        assert steps == []
+
+    def test_a_starved_walk_reports_the_budget(self):
+        # Above 2^91 there is no square search, and rho needs about 2^20 steps
+        # for a 40-bit factor, so each of these budgets runs out in a walk,
+        # which then stops rather than restarting.
+        n = next_prime_at_least(1 << 40) * next_prime_at_least(1 << 60)
+        for budget in range(0, 4000, 97):
+            with pytest.raises(FactorizationBudgetExceeded) as exc:
+                factor(n, budget=budget)
+            assert str(exc.value) == f"factoring budget {budget} exhausted splitting {n}"
+
+
 class TestFactorDomain:
     @pytest.mark.parametrize("bad", [0, -1, -72])
     def test_rejects_non_positive(self, bad):
@@ -250,8 +380,27 @@ class TestFactorDomain:
             factor(bad)
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(FactorizationBudgetExceeded):
-            factor(HARD_SEMIPRIME, budget=50)
+        # The probe walk spends `probe` steps (its next doubling round does
+        # not fit) and the square search splits HARD_SEMIPRIME on trial 15, so
+        # the split needs probe + 15 units of budget and no fewer.
+        g, probe = _brent_rho(HARD_SEMIPRIME, 0, 50)
+        assert g is None and reference_one_line(HARD_SEMIPRIME, 15)[1] == 15
+        assert _brent_rho(HARD_SEMIPRIME, 0, probe + 14) == (None, probe)
+        with pytest.raises(FactorizationBudgetExceeded, match="exhausted"):
+            factor(HARD_SEMIPRIME, budget=probe + 14)
+        f = factor(HARD_SEMIPRIME, budget=probe + 15)
+        assert f.pairs() == ((HARD_P, 1), (HARD_Q, 1))
+
+    def test_rejects_negative_budget(self):
+        for n in (72, 1000000016000000063):
+            with pytest.raises(ValueError, match="budget"):
+                factor(n, budget=-5)
+
+    def test_zero_budget_is_valid(self):
+        assert factor(72, budget=0).pairs() == ((2, 3), (3, 2))
+        assert factor(4099**3 * 65521, budget=0).pairs() == ((4099, 3), (65521, 1))
+        with pytest.raises(FactorizationBudgetExceeded, match="budget 0 exhausted"):
+            factor(HARD_SEMIPRIME, budget=0)
 
     def test_square_search_trials_draw_on_the_budget(self):
         n = random_semiprimes(48, 24, 24, 1)[0]

@@ -15,7 +15,7 @@ import pytest
 
 import wamlab
 from conftest import run_with_blas_threads
-from wamlab.arith import is_prime
+from wamlab.arith import _brent_rho, is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
 from wamlab.critical import critical_abscissa
 from wamlab.triples import generate_triples, max_wam_heatmap
@@ -60,6 +60,9 @@ def next_prime_at_least(n):
 
 
 HARD_SEMIPRIME = next_prime_at_least(1 << 36) * next_prime_at_least(1 << 37)
+# The square search splits HARD_SEMIPRIME on trial 15, after the rho probe:
+# this budget leaves it 14 trials.
+HARD_BUDGET = _brent_rho(HARD_SEMIPRIME, 0, 50)[1] + 14
 
 
 class TestScalarCommands:
@@ -369,6 +372,12 @@ class TestExitCodes:
     def test_success(self):
         assert run(["factor", "72"])[0] == 0
 
+    def test_budget_zero_and_one_trial_more(self):
+        assert run(["factor", "72", "--budget", "0"])[0] == 0
+        code, out, _ = run(["factor", str(HARD_SEMIPRIME), "--budget", str(HARD_BUDGET + 1)])
+        assert code == 0
+        assert len(body_lines(out)) == 3  # header and two primes
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -382,6 +391,10 @@ class TestExitCodes:
             ["critical-line", "1000650100302451", "--bmax", "100"],  # |f| overflows there
             ["wam", "1000003", "--s=-1e308"],
             ["cyclo", "--p", str(2**127 - 1), "--s", "1e306"],
+            ["factor", "72", "--budget", "-5"],
+            ["factor", "1000000016000000063", "--budget", "-5"],
+            ["bounds-check", "--nmax", "1"],
+            ["bounds-check", "--nmax", "64"],
         ],
     )
     def test_validation_failures(self, argv):
@@ -392,7 +405,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["factor", str(HARD_SEMIPRIME), "--budget", "50"],
+            ["factor", str(HARD_SEMIPRIME), "--budget", str(HARD_BUDGET)],
             ["poly-triple", "--q", "2", "--n", "27"],
         ],
     )
