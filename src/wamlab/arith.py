@@ -34,11 +34,9 @@ DEFAULT_RHO_BUDGET = 10**8
 # n^(1/3), so there the rho probe does not run.  Otherwise the first rho walk
 # stops within _RHO_PROBE * n^(1/6) steps, which finds a factor below n^(1/3)
 # (rho needs about sqrt(p) steps).  The square search then runs up to
-# _OLF_SPAN * n^(1/3) trials, Lehman's range, in numpy chunks of _OLF_CHUNK,
-# and only while k n i <= _OLF_LIMIT, where its uint64 and float64 steps are
-# exact.
+# n^(1/3) trials, Lehman's range, in numpy chunks of _OLF_CHUNK, and only
+# while k n i <= _OLF_LIMIT, where its uint64 and float64 steps are exact.
 _RHO_PROBE = 4
-_OLF_SPAN = 1
 _OLF_MULT = 480
 _OLF_CHUNK = 4096
 _OLF_LIMIT = 1 << 100
@@ -282,7 +280,7 @@ def _split(n: int, counts: dict[int, int], budget: int) -> None:
         g, spent = _brent_rho(n, 0, min(remaining, int(_RHO_PROBE * n ** (1 / 6))))
         remaining -= spent
     if g is None or g == n:
-        trials = min(remaining, int(_OLF_SPAN * n ** (1 / 3)), _OLF_LIMIT // (_OLF_MULT * n))
+        trials = min(remaining, int(n ** (1 / 3)), _OLF_LIMIT // (_OLF_MULT * n))
         g, spent = _one_line(n, trials)
         remaining -= spent
     attempt = 0

@@ -17,6 +17,7 @@ from wamlab.arith import (
     _brent_rho,
     _one_line,
     _split,
+    _trial_divide,
     DEFAULT_RHO_BUDGET,
     MAX_VALUE,
     Factorization,
@@ -59,6 +60,27 @@ def next_prime_at_least(n):
 HARD_P = next_prime_at_least(1 << 36)
 HARD_Q = next_prime_at_least(1 << 37)
 HARD_SEMIPRIME = HARD_P * HARD_Q
+
+
+def prev_prime_below(n):
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def composites_near(bound):
+    """Balanced and unbalanced products of two or three primes, some just
+    below `bound` and some just above it."""
+    root = math.isqrt(bound)
+    p, q = prev_prime_below(root), next_prime_at_least(root)
+    below = [prev_prime_below(p) * p, 65521 * prev_prime_below(bound // 65521)]
+    above = [q * next_prime_at_least(q + 1), 65521 * next_prime_at_least(bound // 65521 + 1)]
+    r = math.isqrt(bound // 4099)
+    below.append(4099 * prev_prime_below(r) * prev_prime_below(prev_prime_below(r)))
+    above.append(4099 * next_prime_at_least(r + 1) * next_prime_at_least(r + 2))
+    assert max(below) < bound < min(above)
+    return below + above
 
 
 class TestFactorCorrectness:
@@ -104,6 +126,33 @@ class TestFactorCorrectness:
             4093 * ((1 << 107) - 1),
             17 * 4099 * (10**18 + 9),
             4093 * 4099 * (10**9 + 7),
+            # Trial division to min(n^(1/3), 2^16) below 2^64: 4099 is the
+            # first prime above 2^12, 65521 the last below 2^16 and 65537
+            # the first above it.
+            4099 * 65521,
+            4099 * 65537,
+            65521 * 65537,
+            4099 * 65521 * 65537,
+            4099 * next_prime_at_least(1 << 40),
+            65521 * prev_prime_below(1 << 31),  # 65521 lies above n^(1/3)
+            65521 * next_prime_at_least(1 << 33),  # n^(1/3) lies above 2^16
+            65537 * next_prime_at_least(1 << 33),
+            65537 * next_prime_at_least(1 << 50),
+            4099 * 65521 * ((1 << 31) - 1),
+            4099 * 65537 * ((1 << 61) - 1),
+            65521 * 65537 * next_prime_at_least(1 << 40),
+            *composites_near(1 << 48),
+            *composites_near(1 << 64),
+            4111**2,
+            4099**3,
+            4111**3,
+            4099**2 * 4111,
+            (4099 * 4111) ** 2,
+            4099**3 * 4111**2,
+            4099**5,
+            (4099 * 4111) ** 3,  # above 2^64: no trial division
+            4099**2 * next_prime_at_least(1 << 40),
+            4099**3 * 65521**2,
         ],
     )
     def test_small_prime_split_matches_sympy(self, n):
@@ -230,75 +279,22 @@ class TestSplitPhases:
         assert set(trials) <= {0}
 
 
-def prev_prime_below(n):
-    n -= 1
-    while not is_prime(n):
-        n -= 1
-    return n
-
-
-def composites_near(bound):
-    """Balanced and unbalanced products of two or three primes, some just
-    below `bound` and some just above it."""
-    root = math.isqrt(bound)
-    p, q = prev_prime_below(root), next_prime_at_least(root)
-    below = [prev_prime_below(p) * p, 65521 * prev_prime_below(bound // 65521)]
-    above = [q * next_prime_at_least(q + 1), 65521 * next_prime_at_least(bound // 65521 + 1)]
-    r = math.isqrt(bound // 4099)
-    below.append(4099 * prev_prime_below(r) * prev_prime_below(prev_prime_below(r)))
-    above.append(4099 * next_prime_at_least(r + 1) * next_prime_at_least(r + 2))
-    assert max(below) < bound < min(above)
-    return below + above
-
-
 class TestLehmanOrder:
     """Below 2^64 the primes in (2^12, min(n^(1/3), 2^16)] are divided out
     first; the rho probe runs only from 2^48 on; every walk keeps to its
     budget."""
 
-    @pytest.mark.parametrize(
-        "n",
-        [
-            # 4099 is the first prime above 2^12, 65521 the last below 2^16
-            # and 65537 the first above it.
-            4099 * 65521,
-            4099 * 65537,
-            65521 * 65537,
-            4099 * 65521 * 65537,
-            4099 * next_prime_at_least(1 << 40),
-            65521 * prev_prime_below(1 << 31),  # 65521 > n^(1/3) < 2^16
-            65521 * next_prime_at_least(1 << 33),  # n^(1/3) > 2^16
-            65537 * next_prime_at_least(1 << 33),
-            65537 * next_prime_at_least(1 << 50),
-            4099 * 65521 * ((1 << 31) - 1),
-            4099 * 65537 * ((1 << 61) - 1),
-            65521 * 65537 * next_prime_at_least(1 << 40),
-            *composites_near(1 << 48),
-            *composites_near(1 << 64),
-        ],
-    )
-    def test_products_match_sympy(self, n):
-        assert factor(n).pairs() == sympy_pairs(n), n
-        assert factor(n, budget=10**7).pairs() == sympy_pairs(n), n
-
-    @pytest.mark.parametrize(
-        "n",
-        [
-            4099**2,
-            4111**2,
-            4099**3,
-            4111**3,
-            4099**2 * 4111,
-            (4099 * 4111) ** 2,
-            4099**3 * 4111**2,
-            4099**5,
-            (4099 * 4111) ** 3,  # above 2^64: no trial division
-            4099**2 * next_prime_at_least(1 << 40),
-            4099**3 * 65521**2,
-        ],
-    )
-    def test_powers_of_primes_above_2_12_match_sympy(self, n):
-        assert factor(n).pairs() == sympy_pairs(n), n
+    def test_trial_division_stops_at_the_cube_root(self):
+        for p in (4099, 4111, 65521):
+            counts = {}
+            assert _trial_divide(p**3, counts) == 1 and counts == {p: 3}
+        # 65521 lies just above the cube root of this n < 65521^3, and below
+        # that of 4099 n.
+        q = prev_prime_below(65521**2)
+        counts = {}
+        assert _trial_divide(65521 * q, counts) == 65521 * q and counts == {}
+        assert _trial_divide(4099 * 65521 * q, counts) == q
+        assert counts == {4099: 1, 65521: 1}
 
     def test_composite_below_2_48_split_for_an_n_above_2_64(self, monkeypatch):
         rng = random.Random(4848)
