@@ -258,10 +258,10 @@ def _trial_divide(n: int, counts: dict[int, int]) -> int:
 
 
 def _split(n: int, counts: dict[int, int], budget: int) -> None:
-    # n odd, free of factors below 2^12.
+    # n odd, free of factors below 2^12, so below 2^24 it is 1 or a prime.
     if n == 1:
         return
-    if is_prime(n):
+    if n < 1 << 24 or is_prime(n):
         counts[n] = counts.get(n, 0) + 1
         return
     root = math.isqrt(n)
@@ -374,11 +374,7 @@ def _factor(n: int, budget: int) -> Factorization:
             rem = _divide_out(rem, p, counts)
     if g > 1:
         rem = _divide_out(rem, g, counts)
-    # rem has no factor below 2^12, so below 2^24 it is 1 or a prime.
-    if rem >= 1 << 24:  # _split tests primality first
-        _split(rem, counts, budget)
-    elif rem > 1:
-        counts[rem] = counts.get(rem, 0) + 1
+    _split(rem, counts, budget)  # rem has no factor below 2^12
     items = sorted(counts.items())
     out = Factorization(n, tuple(p for p, _ in items), tuple(e for _, e in items))
     if math.prod(p**e for p, e in items) != n:

@@ -376,23 +376,12 @@ def _cmd_cyclo(args, out: _Output):
 def _cmd_bounds_check(args, out: _Output):
     if not 2 <= args.nmax <= 63:
         raise ValueError(f"n_max must lie in [2, 63], got {args.nmax}")
-    rows = []
-    for n in range(2, args.nmax + 1):
-        for re in BOUNDS_RE_GRID:
-            for im in BOUNDS_IM_GRID:
-                chk = mersenne_lower_bound_check(n, complex(re, im))
-                rows.append(
-                    [
-                        n,
-                        re,
-                        im,
-                        chk.lemma_lhs,
-                        chk.lemma_rhs,
-                        chk.goal_lhs,
-                        chk.goal_rhs,
-                        chk.holds,
-                    ]
-                )
+    grid = [complex(re, im) for re in BOUNDS_RE_GRID for im in BOUNDS_IM_GRID]
+    rows = [
+        [n, c.s.real, c.s.imag, c.lemma_lhs, c.lemma_rhs, c.goal_lhs, c.goal_rhs, c.holds]
+        for n in range(2, args.nmax + 1)
+        for c in mersenne_lower_bound_check(n, grid)
+    ]
     out.table(
         ["n", "re", "im", "lemma_lhs", "lemma_rhs", "goal_lhs", "goal_rhs", "holds"],
         rows,

@@ -398,10 +398,7 @@ def _equal_degree(coeffs: list[int], d: int, q: int, rng: random.Random):
         _lstrip(r)
         if len(r) <= 1:
             continue
-        t = _lgcd(r, coeffs, q)
-        if 1 < len(t) <= n:  # lucky: r shares a factor
-            pass
-        elif q == 2:  # trace r + r^2 + ... + r^(2^(d-1))
+        if q == 2:  # trace r + r^2 + ... + r^(2^(d-1))
             trace = sq = ring.residue(r)
             for _ in range(d - 1):
                 sq = ring.mul(sq, sq)

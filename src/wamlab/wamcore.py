@@ -191,18 +191,37 @@ class WamEvaluation:
         return self.value is None
 
 
-def evaluate_wam(sums: WamSums, s: complex) -> WamEvaluation:
-    z = as_complex(s)
-    terms = sums.denominator.shifted_terms(z)[0]  # the numerator's terms too
-    num = complex(terms @ sums.numerator.weights)
-    den = complex(terms @ sums.denominator.weights)
-    if abs(den) < POLE_RTOL * float(np.abs(terms).sum()):
-        return WamEvaluation(z, num, den, None)
-    return WamEvaluation(z, num, den, num / den)
+def _points(s) -> tuple[list[complex], bool]:
+    """The points of s, one point or a 1-d sequence of them, each checked by
+    as_complex, and whether s is a sequence."""
+    if np.ndim(s) == 0:
+        return [as_complex(s)], False
+    if np.ndim(s) != 1:
+        raise ValueError(f"expected a point or a 1-d sequence of points, got shape {np.shape(s)}")
+    return [as_complex(z) for z in s], True
 
 
-def wam_at(f: Factorization, s: complex) -> WamEvaluation:
-    """wam of a factorization at complex s.
+def evaluate_wam(sums: WamSums, s):
+    """wam at s, one point or a 1-d sequence of points; a sequence gives a
+    list, one evaluation per point ([] for no points).  Every point is
+    checked before any is evaluated."""
+    points, is_sequence = _points(s)
+    terms = sums.denominator.shifted_terms(np.array(points, dtype=complex))[0]
+    # One 1-d dot per point, stacked, so that each point gets the bits it
+    # would get alone; a 2-d terms @ weights is a gemv, which need not.
+    rows = terms[:, None, :]  # the numerator's terms too
+    nums = np.matmul(rows, sums.numerator.weights)[:, 0].tolist()
+    dens = np.matmul(rows, sums.denominator.weights)[:, 0].tolist()
+    scales = np.abs(terms).sum(axis=1).tolist()
+    out = [
+        WamEvaluation(z, num, den, None if abs(den) < POLE_RTOL * scale else num / den)
+        for z, num, den, scale in zip(points, nums, dens, scales)
+    ]
+    return out if is_sequence else out[0]
+
+
+def wam_at(f: Factorization, s):
+    """wam of a factorization at complex s, or at each of a sequence of points.
 
     >>> round(wam_at(factor(72), 0).value.real, 12)
     2.5
@@ -256,10 +275,12 @@ def crude_em_bound_holds(f: Factorization) -> CrudeEmBound:
 
 
 def mersenne_factorization(n: int) -> Factorization:
-    """Factorization of m = 2^n * (2^n - 1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return factor(2**n * (2**n - 1))
+    """Factorization of m = 2^n * (2^n - 1), 2 <= n <= 63, from the cached
+    one of its odd part (mersenne_family factors 2^n - 1 too)."""
+    if not 2 <= n <= 63:
+        raise ValueError(f"n must lie in [2, 63], got {n}")
+    odd = factor(2**n - 1)
+    return Factorization(2**n * odd.value, (2, *odd.primes), (n, *odd.exponents))
 
 
 @dataclass(frozen=True)
@@ -270,7 +291,8 @@ class MersenneBound:
         sum e_i (ln p_i)^Re(s)  <  n * (ln 3)^(Re(s) - 1) * ln 2,
     which feeds the modulus bound
         |wam(m, s)|  >  (1/2) * (1 - (ln2/ln3)^(1 - Re s)) * wam(m, Re s).
-    Both inequalities are strict for every n >= 2 when Re(s) < 1.
+    Both inequalities are strict for every n >= 2 when Re(s) < 1.  `holds`
+    decides the lemma in units of (ln 3)^Re(s), where neither side underflows.
     """
 
     n: int
@@ -290,21 +312,30 @@ class MersenneBound:
         return self.goal_lhs - self.goal_rhs
 
 
-def mersenne_lower_bound_check(n: int, s: complex) -> MersenneBound:
-    """Check both divergence inequalities at s; requires Re(s) < 1, 2<=n<=63."""
-    if not 2 <= n <= 63:
-        raise ValueError(f"n must lie in [2, 63], got {n}")
-    z = as_complex(s)
-    a = z.real
-    if a >= 1:
-        raise ValueError(f"bounds hold for Re(s) < 1 only, got Re(s) = {a}")
+def mersenne_lower_bound_check(n: int, s):
+    """Check both divergence inequalities at s, one point or a 1-d sequence
+    of points (a list of checks then, [] for no points); requires Re(s) < 1
+    and 2 <= n <= 63.  m is factored once, and wam evaluated once, at the
+    points and their distinct real parts."""
+    points, is_sequence = _points(s)
+    for z in points:
+        if z.real >= 1:
+            raise ValueError(f"bounds hold for Re(s) < 1 only, got Re(s) = {z.real}")
     f = mersenne_factorization(n)
-    odd = [(p, e) for p, e in f.pairs() if p != 2]
-    lemma_lhs = sum(e * math.log(p) ** a for p, e in odd)
-    lemma_rhs = n * LN3 ** (a - 1.0) * LN2
-    ev = wam_at(f, z)
-    goal_lhs = math.inf if ev.is_pole else abs(ev.value)
-    wam_real = wam_at(f, a).value.real
-    goal_rhs = 0.5 * (1.0 - (LN2 / LN3) ** (1.0 - a)) * wam_real
-    holds = lemma_lhs < lemma_rhs and goal_lhs > goal_rhs
-    return MersenneBound(n, z, lemma_lhs, lemma_rhs, goal_lhs, goal_rhs, holds)
+    odd = [(math.log(p), e) for p, e in f.pairs() if p != 2]
+    reals = list(dict.fromkeys(z.real for z in points))
+    evs = wam_at(f, points + reals)
+    wam_real = {a: ev.value.real for a, ev in zip(reals, evs[len(points) :])}
+    checks = []
+    for z, ev in zip(points, evs):
+        a = z.real
+        lemma_lhs = sum(e * h**a for h, e in odd)
+        lemma_rhs = n * LN3 ** (a - 1.0) * LN2
+        # Both sides in units of (ln 3)^a: as printed they underflow to 0
+        # once a drops below about -7,950.
+        lemma_holds = sum(e * (h / LN3) ** a for h, e in odd) < n * LN2 / LN3
+        goal_lhs = math.inf if ev.is_pole else abs(ev.value)
+        goal_rhs = 0.5 * (1.0 - (LN2 / LN3) ** (1.0 - a)) * wam_real[a]
+        holds = lemma_holds and goal_lhs > goal_rhs
+        checks.append(MersenneBound(n, z, lemma_lhs, lemma_rhs, goal_lhs, goal_rhs, holds))
+    return checks if is_sequence else checks[0]

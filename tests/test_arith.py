@@ -344,6 +344,28 @@ class TestLehmanOrder:
             assert tuple(sorted(counts.items())) == sympy_pairs(n)
         assert steps == []
 
+    def test_parts_below_2_24_skip_the_primality_test(self, monkeypatch):
+        # Free of factors below 2^12, a part below 2^24 is prime: of each
+        # 48-bit semiprime only n itself is tested, not its 24-bit factors.
+        tested = []
+
+        def spy(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", spy)
+        semiprimes = random_semiprimes(2424, 24, 24, 10)
+        for n in semiprimes:
+            counts = {}
+            _split(n, counts, DEFAULT_RHO_BUDGET)
+            assert tuple(sorted(counts.items())) == sympy_pairs(n)
+        assert tested == semiprimes
+        # factor hands a remainder below 2^24 to _split, which records it.
+        tested.clear()
+        for p in (4099, 65521, (1 << 24) - 3):
+            assert arith._factor.__wrapped__(8 * p, DEFAULT_RHO_BUDGET).pairs() == ((2, 3), (p, 1))
+        assert tested == []
+
     def test_a_starved_walk_reports_the_budget(self):
         # Above 2^91 there is no square search, and rho needs about 2^20 steps
         # for a 40-bit factor, so each of these budgets runs out in a walk,

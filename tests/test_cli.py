@@ -1,6 +1,7 @@
 """Command-line interface: formats, metadata, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import wamlab
+from wamlab import cli, wamcore
 from conftest import run_with_blas_threads
 from wamlab.arith import _brent_rho, is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
@@ -166,6 +168,15 @@ class TestTableCommands:
         for row in rows:
             assert row["holds"] == "true"
 
+    @pytest.mark.parametrize("s", ["-8000", "-1e6,2"])
+    def test_mersenne_holds_where_the_lemma_sides_underflow(self, s):
+        code, out, _ = run(["mersenne", "--nmax", "63", f"--s={s}"])
+        assert code == 0
+        rows = list(csv.DictReader(body_lines(out)))
+        assert len(rows) == 62
+        for row in rows:
+            assert (row["lemma_margin"], row["holds"]) == ("0.0", "true")
+
     def test_bounds_check_all_hold(self):
         code, out, _ = run(["bounds-check", "--nmax", "20"])
         assert code == 0
@@ -308,6 +319,33 @@ class TestDeterminism:
                 env=env, check=True, timeout=120,
             )
             assert (tmp_path / f"same-{i}.csv").read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["bounds-check", "--nmax", "63"], "bed9ba8d3d32c554d841d4f9b8fc3748abc13399d03b7444ea1914e3744ab7a7"),
+            (["bounds-check", "--nmax", "63", "--format", "json"], "512aefe950d757ceaee1155e4877fc972d12491fd8345ffa2043407515012e15"),
+            (["mersenne", "--nmax", "63"], "da9b1ebd4e66196cb25f0418673ae4a5852806e1e24bc6ee30e7e9b724da9bb3"),
+            (["mersenne", "--nmax", "63", "--format", "json"], "5ac8b2ea8c28cf5949cdcaf02934aececd896354a54a96919e2ebad8d0606c3d"),
+        ],
+    )
+    def test_mersenne_sweeps_are_pinned(self, argv, digest):
+        # SHA-256 of the whole output, header included, as wamlab 0.1.0
+        # wrote it with one evaluation per point: evaluating every point of
+        # an n at once moves no bit.
+        code, out, err = run(argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, calls", [(["bounds-check"], 62), (["mersenne"], 124)])
+    def test_mersenne_sweeps_evaluate_once_per_n(self, monkeypatch, argv, calls):
+        # bounds-check checks its 12 grid points of an n in one evaluation;
+        # mersenne evaluates each triple and checks it, one evaluation each.
+        seen, wam_at = [], wamcore.wam_at
+        for module in (cli, wamcore):
+            monkeypatch.setattr(module, "wam_at", lambda f, s: seen.append(s) or wam_at(f, s))
+        assert run([*argv, "--nmax", "63"])[0] == 0
+        assert len(seen) == calls
 
     def test_heatmap_insensitive_to_thread_count(self, tmp_path):
         # Large enough that OpenBLAS splits the grid products across threads.

@@ -1,5 +1,6 @@
 """Polynomials over prime fields: factorization, counts, triples, pigeonhole."""
 
+import collections
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from wamlab.ffpoly import (
     poly_wam,
     validate_poly_triple,
 )
+from wamlab.arith import mobius
 from wamlab.ffpoly import _ldivmod, _llist, _lmul, _ModRing
 from wamlab.wamcore import evaluate_wam, wam_sums
 
@@ -258,6 +260,22 @@ class TestPolyFactor:
             unit, factors = sympy_factors(poly)
             assert pf.unit == unit
             assert [(p.coefficients, e) for p, e in pf.factors] == factors
+
+    @pytest.mark.parametrize("q, d", [(2, 4), (2, 6), (3, 3), (5, 2), (7, 2)])
+    def test_every_irreducible_of_a_degree_splits_apart(self, q, d):
+        # x^(q^d) - x is the product of the monic irreducibles of degree
+        # dividing d, each once: many factors of one degree for the
+        # equal-degree split, of which a random draw often shares one.
+        poly = FpPoly.x_power(q, q**d) - FpPoly.x_power(q, 1)
+        pf = poly_factor(poly)
+        assert pf.value == poly
+        assert all(e == 1 and is_irreducible(p) and d % p.degree == 0 for p, e in pf.factors)
+
+        def count(k):  # Gauss's count of the monic irreducibles of degree k
+            return sum(mobius(j) * q ** (k // j) for j in range(1, k + 1) if k % j == 0) // k
+
+        by_degree = collections.Counter(p.degree for p, _ in pf.factors)
+        assert by_degree == {k: count(k) for k in range(1, d + 1) if d % k == 0}
 
     def test_frobenius_power_has_single_root_factor(self):
         # x^9 + 2 = (x + 2)^9 over F_3 since cubing is a field homomorphism.

@@ -9,11 +9,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import factorizations
-from wamlab.arith import big_omega, factor, omega, radical
+from wamlab.arith import Factorization, big_omega, factor, omega, radical
 from wamlab import triples, wamcore, zeros
 from wamlab.wamcore import (
     EmptyFactorization,
@@ -193,6 +193,82 @@ class TestDomain:
     def test_sums_require_positive_heights(self):
         with pytest.raises(ValueError):
             wam_sums([2.0, -1.0], [1, 1])
+
+
+#: Points for the batched evaluator: the pole of the {2, 3} sums, Re s far
+#: out on both sides (one term dominates, the rest underflow), both zeros.
+SPECIAL_POINTS = [FIRST_TWO_TERM_ZERO, complex(2000, 3), complex(-2000, -7), 0j, complex(-0.0, 0)]
+POINTS = st.one_of(
+    st.sampled_from(SPECIAL_POINTS),
+    st.complex_numbers(max_magnitude=60, allow_nan=False, allow_infinity=False),
+)
+POINTS_LEFT_OF_ONE = st.one_of(
+    st.sampled_from(SPECIAL_POINTS[:1] + SPECIAL_POINTS[2:]),
+    st.builds(complex, st.floats(-2000, 0.999), st.floats(-60, 60)),
+)
+#: One bad point each: NaN, Re s >= 1 (bad for the Mersenne check only) and
+#: |Re s| above 1e305.
+BAD_POINTS = [complex(float("nan"), 0), complex(0, float("nan")), 1.0, complex(1.5, 2), -2e305, 2e305]
+
+
+def one_point_dot(sums, s):
+    """Numerator and denominator at s as two 1-d dots of its shifted terms
+    with the weights: the bits each point of a batch must get."""
+    terms = sums.denominator.shifted_terms(complex(s))[0]
+    return complex(terms @ sums.numerator.weights), complex(terms @ sums.denominator.weights)
+
+
+class TestBatchedEvaluation:
+    """evaluate_wam over a sequence: each point as it is alone, bit for bit."""
+
+    @given(factorizations(), st.lists(POINTS, max_size=12))
+    @example(Factorization.from_pairs([(2, 3), (3, 2)]), [0.5, FIRST_TWO_TERM_ZERO, 0.5])
+    def test_each_point_gets_the_bits_it_gets_alone(self, f, pts):
+        sums = integer_wam_sums(f)
+        batch = evaluate_wam(sums, pts)
+        assert isinstance(batch, list) and len(batch) == len(pts)
+        for s, ev in zip(pts, batch):
+            alone = evaluate_wam(sums, s)
+            assert ev.s == alone.s == complex(s)
+            assert ev.value == alone.value and ev.is_pole == alone.is_pole
+            assert ev.numerator == alone.numerator and ev.denominator == alone.denominator
+            assert (ev.numerator, ev.denominator) == one_point_dot(sums, s)
+
+    def test_the_pole_is_flagged_in_a_batch(self):
+        batch = wam_at(factor(72), [0.5, FIRST_TWO_TERM_ZERO, FIRST_TWO_TERM_ZERO + 0.01])
+        assert [ev.is_pole for ev in batch] == [False, True, False]
+
+    def test_sequence_types(self):
+        sums = integer_wam_sums(factor(72))
+        want = evaluate_wam(sums, [0.5, 2j])
+        assert evaluate_wam(sums, (0.5, 2j)) == want
+        assert evaluate_wam(sums, np.array([0.5, 2j])) == want
+        assert evaluate_wam(sums, np.complex128(0.5)) == want[0]
+
+    def test_no_points_give_an_empty_list(self):
+        sums = integer_wam_sums(factor(72))
+        assert evaluate_wam(sums, []) == []
+        assert evaluate_wam(sums, np.array([], dtype=complex)) == []
+        assert wam_at(factor(72), ()) == []
+        assert mersenne_lower_bound_check(5, []) == []
+
+    def test_more_than_one_axis_is_refused(self):
+        with pytest.raises(ValueError, match="1-d"):
+            evaluate_wam(integer_wam_sums(factor(72)), [[0.5, 1.0]])
+
+    @pytest.mark.parametrize("bad", BAD_POINTS[:2] + BAD_POINTS[4:])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_one_bad_point_stops_the_batch_before_any_evaluation(self, monkeypatch, bad, at):
+        evaluated = []
+        shifted_terms = ExpSum.shifted_terms
+        monkeypatch.setattr(
+            ExpSum, "shifted_terms", lambda self, s: evaluated.append(s) or shifted_terms(self, s)
+        )
+        pts = [0.5, 2j]
+        pts.insert(at, bad)
+        with pytest.raises(ValueError):
+            evaluate_wam(integer_wam_sums(factor(72)), pts)
+        assert evaluated == []
 
 
 class TestExpSum:
@@ -408,11 +484,12 @@ class TestSerialProduct:
 
     def test_no_product_bypasses_the_helper(self):
         # The spy above sees only what reaches np.matmul; an `@` or a dot
-        # elsewhere would bypass it.  Only 1-d dots and integer products
-        # (which numpy does not send to BLAS) may stay outside the helper.
+        # elsewhere would bypass it.  Only 1-d dots (stacked ones too) and
+        # integer products (which numpy does not send to BLAS) may stay
+        # outside the helper.
         allowed = {
             ("wamcore", "_serial_product"),
-            ("wamcore", "evaluate_wam"),  # terms @ weights, both 1-d
+            ("wamcore", "evaluate_wam"),  # one 1-d dot per point, stacked
             ("zeros", "critical_line_probe"),  # the 1-d scale dot
             ("ffpoly", "_ModRing.mul"),  # int64 reduction
         }
@@ -500,6 +577,49 @@ class TestMersenneBound:
         small = wam_at(mersenne_factorization(5), 0.5).value.real
         large = wam_at(mersenne_factorization(60), 0.5).value.real
         assert large > small
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 29, 61, 62, 63])
+    def test_factorization_from_the_odd_part(self, monkeypatch, n):
+        want = factor(2**n * (2**n - 1))
+        factored = []
+        monkeypatch.setattr(wamcore, "factor", lambda m: factored.append(m) or factor(m))
+        assert mersenne_factorization(n) == want
+        assert factored == [2**n - 1]
+
+    @given(st.integers(2, 63), st.lists(POINTS_LEFT_OF_ONE, max_size=12))
+    def test_a_sequence_checks_as_each_point_alone(self, n, pts):
+        batch = mersenne_lower_bound_check(n, pts)
+        assert batch == [mersenne_lower_bound_check(n, s) for s in pts]
+
+    def test_one_factorization_and_one_evaluation_per_call(self, monkeypatch):
+        factored, calls = [], []
+        monkeypatch.setattr(wamcore, "factor", lambda m: factored.append(m) or factor(m))
+        monkeypatch.setattr(wamcore, "wam_at", lambda f, s: calls.append(s) or wam_at(f, s))
+        pts = [0.5, 0.5 + 5j, -1.0, -1 + 1j, 0.5 + 1j]
+        checks = mersenne_lower_bound_check(40, pts)
+        assert len(checks) == 5 and all(c.holds for c in checks)
+        assert factored == [2**40 - 1]
+        assert calls == [pts + [0.5, -1.0]]  # the points, then their real parts
+
+    @pytest.mark.parametrize("bad", BAD_POINTS)
+    def test_one_bad_point_stops_the_check_before_any_evaluation(self, monkeypatch, bad):
+        called = []
+        monkeypatch.setattr(wamcore, "factor", lambda m: called.append(m) or factor(m))
+        monkeypatch.setattr(wamcore, "wam_at", lambda f, s: called.append(s) or wam_at(f, s))
+        with pytest.raises(ValueError):
+            mersenne_lower_bound_check(11, [0.5, bad, -1.0])
+        assert called == []
+
+    @pytest.mark.parametrize("a", [-8000.0, -1e6])
+    def test_lemma_holds_where_both_printed_sides_underflow(self, a):
+        # (ln p)^a underflows to 0 for every odd p here, and n (ln 3)^(a - 1)
+        # ln 2 as well; in units of (ln 3)^a the sides are e_3 (or 0) and
+        # n ln 2 / ln 3.
+        for n in range(2, 64):
+            for report in (mersenne_lower_bound_check(n, a), mersenne_lower_bound_check(n, complex(a, 3))):
+                assert report.lemma_lhs == report.lemma_rhs == 0.0
+                assert report.holds, (n, report)
+                assert report.goal_lhs > report.goal_rhs
 
 
 class TestRandomizedCrossChecks:
