@@ -322,14 +322,12 @@ def _cmd_mersenne(args, out: _Output):
     rows = []
     for t in family.triples:
         n = t.c.bit_length() - 1
-        ev = wam_at(t.abc_factorization, s)
-        row = [n, t.b, t.quality, t.e_m, _fmt_complex(ev.value)]
         if s.real < 1:
             chk = mersenne_lower_bound_check(n, s)
-            row += [chk.lemma_margin, chk.goal_margin, chk.holds]
+            value, margins = chk.wam, [chk.lemma_margin, chk.goal_margin, chk.holds]
         else:
-            row += [None, None, None]
-        rows.append(row)
+            value, margins = wam_at(t.abc_factorization, s).value, [None, None, None]
+        rows.append([n, t.b, t.quality, t.e_m, _fmt_complex(value), *margins])
     out.table(
         ["n", "b", "quality", "e_m", "wam", "lemma_margin", "goal_margin", "holds"],
         rows,

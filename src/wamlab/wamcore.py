@@ -139,10 +139,17 @@ class ExpSum:
         cannot overflow, and the signs of Re and Im and the ratio of two
         sums on the same rates are kept.
         """
+        u_terms, v_terms = self.factors(u, v)
+        # Both factors complex, so each block is one single-threaded zgemm.
+        return _serial_product(u_terms, v_terms.T)
+
+    def factors(self, u, v):
+        """The factors of outer(u, v), both complex: exp(u ⊗ r) diag w, and
+        the shifted terms of v.  Row i of the first times row j of the second
+        are the terms of f(u[i] + v[j]), shifted as outer shifts them."""
         u_terms = np.exp(np.multiply.outer(np.asarray(u, dtype=complex), self.rates))
         v_terms = self.shifted_terms(np.asarray(v))[0]
-        # Both factors complex, so each block is one single-threaded zgemm.
-        return _serial_product(u_terms * self.weights, v_terms.T.astype(complex))
+        return u_terms * self.weights, v_terms.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -293,10 +300,12 @@ class MersenneBound:
         |wam(m, s)|  >  (1/2) * (1 - (ln2/ln3)^(1 - Re s)) * wam(m, Re s).
     Both inequalities are strict for every n >= 2 when Re(s) < 1.  `holds`
     decides the lemma in units of (ln 3)^Re(s), where neither side underflows.
+    `wam` is wam(m, s), None at a pole.
     """
 
     n: int
     s: complex
+    wam: complex | None
     lemma_lhs: float
     lemma_rhs: float
     goal_lhs: float
@@ -337,5 +346,5 @@ def mersenne_lower_bound_check(n: int, s):
         goal_lhs = math.inf if ev.is_pole else abs(ev.value)
         goal_rhs = 0.5 * (1.0 - (LN2 / LN3) ** (1.0 - a)) * wam_real[a]
         holds = lemma_holds and goal_lhs > goal_rhs
-        checks.append(MersenneBound(n, z, lemma_lhs, lemma_rhs, goal_lhs, goal_rhs, holds))
+        checks.append(MersenneBound(n, z, ev.value, lemma_lhs, lemma_rhs, goal_lhs, goal_rhs, holds))
     return checks if is_sequence else checks[0]

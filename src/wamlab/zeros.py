@@ -28,15 +28,18 @@ REMOVABLE_RTOL = 1e-8
 BOUNDARY_RTOL = 1e-12
 _GL_NODES_PER_PANEL = 64
 _MAX_PANELS_PER_EDGE = 64
-#: Seed-grid points evaluated per band, and the widest row (two rows per band).
-_SEED_BLOCK = 1 << 20
-_SEED_ROW_MAX = _SEED_BLOCK // 2
+#: Points per block of the seed grid and of the critical-line scan: 2^16
+#: complex values, about 1 MB.  Seed rows up to _SEED_ROW_MAX points wide
+#: are evaluated in bands of two rows.
+_SEED_BLOCK = _PROBE_BLOCK = 1 << 16
+_SEED_ROW_MAX = 1 << 19
 #: Newton stops at |f(z)| < NEWTON_TOL, with |f| in units of the largest
 #: term modulus max_k |(ln p_k)^z|, as are all magnitudes the search reports.
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 40
-#: Most samples critical_line_probe takes: about 50 s, since 2e8 samples take
-#: 2.4 s at m = 6 (2-vCPU x86-64).
+#: Most samples critical_line_probe takes: 15-25 s, since 2e8 samples take
+#: 0.6-0.7 s at m = 6 and 1.1 s at m = 7 (2-vCPU x86-64).  A scan the bound
+#: cannot prune is exhaustive, at about 2.3 s per 2e8 samples.
 _PROBE_MAX_SAMPLES = 1 << 32
 
 
@@ -123,8 +126,9 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     """Centers of grid cells where Re f and Im f both change sign.
 
     The grid is evaluated, and its im axis built, in bands of at most
-    _SEED_BLOCK points; each band starts on the last row of the one before,
-    so no cell loses a corner.  Rows wider than _SEED_ROW_MAX are refused.
+    _SEED_BLOCK points, or of two rows where rows are wider than half that;
+    each band starts on the last row of the one before, so no cell loses a
+    corner.  Rows wider than _SEED_ROW_MAX are refused.
     """
     step = region.grid_step
     n_re = _axis_size(region.re_min, region.re_max, step, _SEED_ROW_MAX)
@@ -176,19 +180,23 @@ def _newton_polish(den: ExpSum, seeds: np.ndarray):
     return z[converged], int(converged.sum()), int(active.sum())
 
 
-def _dedup(points: np.ndarray, residuals, radius: float) -> list[int]:
+def _dedup(points: np.ndarray, residuals, radius) -> list[int]:
     """Greedy clustering: within radius, keep the smaller residual.
 
-    Points are visited in (re, im) order.  Each merges into the first kept
-    slot whose point lies within radius, and replaces that point when its
-    residual is smaller; otherwise it opens a new slot.  Slots sit in grid
-    cells of size radius, so a point meets only the slots in the cells
-    spanned by re +- radius and im +- radius.  floor(v / radius) is monotone
-    in v, so no slot within radius is missed.
+    `radius` is one distance or one per point; two points are within radius
+    when they lie closer than the larger of their radii.  Points are visited
+    in (re, im) order.  Each merges into the first kept slot whose point lies
+    within radius, and replaces that point when its residual is smaller;
+    otherwise it opens a new slot.  Slots sit in grid cells of the largest
+    radius R, so a point meets only the slots in the cells spanned by
+    re +- R and im +- R.  floor(v / R) is monotone in v, so no slot within
+    radius is missed.
     """
+    radii = np.broadcast_to(radius, points.shape).tolist()
+    size = max(radii, default=1.0)
 
     def cell(v: float) -> int:
-        return math.floor(v / radius)
+        return math.floor(v / size)
 
     pts = points.tolist()
     kept: list[int] = []
@@ -197,10 +205,10 @@ def _dedup(points: np.ndarray, residuals, radius: float) -> list[int]:
         z = pts[i]
         near = [
             j
-            for x in range(cell(z.real - radius), cell(z.real + radius) + 1)
-            for y in range(cell(z.imag - radius), cell(z.imag + radius) + 1)
+            for x in range(cell(z.real - size), cell(z.real + size) + 1)
+            for y in range(cell(z.imag - size), cell(z.imag + size) + 1)
             for j in cells.get((x, y), ())
-            if abs(z - pts[kept[j]]) < radius
+            if abs(z - pts[kept[j]]) < max(radii[i], radii[kept[j]])
         ]
         if near:
             j = min(near)
@@ -221,8 +229,9 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
 
     Every grid cell (default step 0.05) where both Re f and Im f change
     sign seeds a Newton run; converged points are filtered to the region,
-    deduplicated within 10x NEWTON_TOL (smaller residual wins), and
-    classified pole/removable by the relative size of the numerator.
+    deduplicated within twice their Newton step |f/f'| (smaller residual
+    wins), and classified pole/removable by the relative size of the
+    numerator.
 
     >>> from wamlab.arith import factor
     >>> search = find_zeros(factor(6), SearchRegion(-1.0, 1.0, 0.0, 10.0))
@@ -242,17 +251,24 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     out_of_region = int(inside.size - inside.sum())
     pts = polished[inside]
     terms = den.shifted_terms(pts)[0]  # the numerator's terms too
-    residuals = np.abs(_serial_product(terms, den.weights)).tolist()
+    residuals = np.abs(_serial_product(terms, den.weights))
     num = np.abs(_serial_product(terms, sums.numerator.weights))
     removable = num < REMOVABLE_RTOL * _serial_product(np.abs(terms), sums.numerator.weights)
 
-    kept = _dedup(pts, residuals, 10.0 * NEWTON_TOL)
+    # A converged point lies within its Newton step |f / f'| of its zero,
+    # once |f| is widened by its rounding (as in critical_line_probe), so two
+    # points of one zero lie within twice the larger step of each other.
+    slope = np.abs(_serial_product(terms, den.weights * den.rates))
+    rounding = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    rounding *= np.abs(den.rates).max() * np.abs(pts) + den.rates.size
+    newton = np.divide(residuals + rounding, slope, out=np.full(pts.shape, np.inf), where=slope > 0)
+    kept = _dedup(pts, residuals.tolist(), np.minimum(2 * newton, region.grid_step / 2))
     dedup_dropped = int(pts.size - len(kept))
 
     records = []
     for i in kept:
         cls = Classification.REMOVABLE if removable[i] else Classification.POLE
-        records.append(ZeroRecord(complex(pts[i]), residuals[i], float(num[i]), cls))
+        records.append(ZeroRecord(complex(pts[i]), float(residuals[i]), float(num[i]), cls))
     # Sort on (re, im) with re rounded to 1e-6 so that vertically stacked
     # zeros (equal re up to solver noise) come out in increasing im order.
     records.sort(key=lambda r: (round(r.location.real, 6), r.location.imag))
@@ -354,13 +370,24 @@ def critical_line_probe(
     """Scan |f(a_crit + ib)| for b on a uniform grid over [0, b_max].
 
     `samples` counts grid intervals, so the b spacing is b_max/samples and
-    samples+1 points are evaluated; doubling `samples` (or extending b_max
-    at fixed spacing) refines to a superset grid, and every sample is judged
-    by its pointwise value, which is what makes the reported minimum
-    monotone under refinement.  Requires m >= 3, where
-    denominator zeros genuinely are poles of a nonconstant wam.  More than
-    2^32 samples raise MemoryError, and an a_crit at which sum_k (ln p_k)^a
-    overflows a double raises ValueError, before any sample is taken.
+    the minimum is taken over samples+1 points; doubling `samples` (or
+    extending b_max at fixed spacing) refines to a superset grid, and every
+    sample is judged by its pointwise value (one-point `ExpSum.__call__`),
+    which is what makes the reported minimum monotone under refinement.
+    Ties go to the smallest b.  Requires m >= 3, where denominator zeros
+    genuinely are poles of a nonconstant wam.  More than 2^32 samples raise
+    MemoryError, and an a_crit at which sum_k (ln p_k)^a overflows a double
+    raises ValueError, before any sample is taken.
+
+    The scan runs in blocks of at most 2^16 samples, each one ExpSum.outer
+    table of every K-th sample.  |f| has slope at most
+    L = sum_k |w_k r_k| e^(r_k a - sigma) in the kernel's units, so between
+    tabled samples i < j it stays above (|f_i| + |f_j| - L (j - i) step) / 2;
+    the samples inside are tabled only where that bound, less the rounding
+    slack, does not exceed the least value seen.  K adapts to the share of
+    intervals that survive, and K = 1 is the exhaustive scan.  Every tabled
+    sample that kernel rounding could make the minimum is evaluated
+    pointwise, so the result does not depend on the blocks or on K.
     """
     if len(f.primes) < 3:
         raise ValueError("the critical-line probe requires m >= 3")
@@ -377,23 +404,47 @@ def critical_line_probe(
     scale = terms @ np.abs(den.weights)  # in the kernel's units
     if not sigma + math.log(scale) < math.log(np.finfo(float).max):  # |f| <= scale e^sigma
         raise ValueError(f"a_crit = {a!r} is too large: |f| on the critical line overflows")
+    lip = terms @ np.abs(den.weights * den.rates)
     rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * scale
-    best, best_b = math.inf, 0.0
-    chunk = 1 << 20
-    for start in range(0, samples + 1, chunk):
-        n = min(chunk, samples + 1 - start)
-        block = math.isqrt(n - 1) + 1
-        heads = start + block * np.arange(-(-n // block))
-        vals = np.abs(den.outer(1j * step * heads, a + 1j * step * np.arange(block)))
-        vals = vals.ravel()[:n]
+    unit = math.exp(-sigma)  # from |f| to the kernel's units
+    best, best_k = math.inf, 0
+    lo, every, shifts = 0, 8, {}
+    while lo < samples:
+        k = min(every, samples - lo)
+        n = min(_PROBE_BLOCK // k, (samples - lo) // k)  # intervals of k samples
+        width = math.isqrt(n) + 1
+        heads = lo + k * width * np.arange(-(-(n + 1) // width))
+        u_terms, v_terms = den.factors(1j * step * heads, a + 1j * step * k * np.arange(width))
+        coarse = np.abs(_serial_product(u_terms, v_terms.T)).ravel()[: n + 1]
         # Kernel and pointwise values differ by the rounding of the phases
-        # r_k b and of the sum; every sample that rounding could make the
-        # minimum is re-evaluated pointwise, so the result is the pointwise
-        # minimum whatever the blocks.
-        slack = floor * (rmax * step * (start + n) + den.rates.size)
-        ks = start + np.flatnonzero(vals <= vals.min() + slack)
-        exact = np.abs(den(a + 1j * step * ks))
-        i = int(np.argmin(exact))
-        if exact[i] < best:
-            best, best_b = float(exact[i]), float(step * ks[i])
-    return CriticalLineProbe(a, b_max, samples, best, best_b)
+        # r_k b and of the sum, by at most slack / 2; `least` bounds the
+        # pointwise minimum from above, in the kernel's units.
+        slack = floor * (rmax * step * (lo + k * n) + den.rates.size)
+        least = min(best * unit, coarse.min() + slack / 2)
+        bound = 0.5 * (coarse[:-1] + coarse[1:] - lip * k * step)
+        live = np.flatnonzero(bound - slack <= least)
+        fine, fine_min = None, math.inf
+        if live.size and k > 1:
+            if k not in shifts:
+                shifts[k] = np.exp(np.multiply.outer(den.rates, 1j * step * np.arange(1, k)))
+            row, col = np.divmod(live, width)
+            left = np.take(u_terms, row, axis=0) * np.take(v_terms, col, axis=0)
+            fine = np.abs(_serial_product(left, shifts[k]))  # fine[i, d - 1]: sample k live[i] + d
+            fine_min = fine.min()
+        cut = min(least, fine_min + slack / 2) + slack / 2
+        ks = k * np.flatnonzero(coarse <= cut)
+        if fine_min <= cut:
+            i, d = np.nonzero(fine <= cut)
+            ks = np.union1d(ks, k * live[i] + d + 1)
+        for t in (lo + ks).tolist():
+            value = float(np.abs(den(a + 1j * step * t)))
+            if value < best:
+                best, best_k = value, t
+        # The surviving share grows 3-5 fold as k doubles, so k settles
+        # where 4-30% of the intervals survive.
+        if live.size > 0.3 * n:
+            every = max(1, every // 2)
+        elif live.size < 0.04 * n:
+            every = min(2 * every, _PROBE_BLOCK)
+        lo += k * n
+    return CriticalLineProbe(a, b_max, samples, best, step * best_k)

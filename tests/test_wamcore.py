@@ -348,6 +348,15 @@ class TestOuterKernel:
         assert np.all(np.abs(table.ravel() - pointwise) <= floor * term_scale(es, a))
 
     @given(factorizations(min_m=2))
+    def test_factors_multiply_to_the_table(self, f):
+        es = integer_wam_sums(f).numerator
+        u_terms, v_terms = es.factors(1j * self.IM, self.RE)
+        assert u_terms.shape == (self.IM.size, es.rates.size) == (self.IM.size, v_terms.shape[1])
+        terms = u_terms[:, None, :] * v_terms[None, :, :]
+        table = es.outer(1j * self.IM, self.RE)
+        assert np.all(np.abs(terms.sum(axis=2) - table) <= 1e-12 * np.abs(terms).sum(axis=2))
+
+    @given(factorizations(min_m=2))
     def test_shifted_rectangle_survives_extreme_real_parts(self, f):
         mpmath = pytest.importorskip("mpmath")
         sums = integer_wam_sums(f)
@@ -554,6 +563,13 @@ class TestMersenneBound:
     def test_complex_point(self):
         report = mersenne_lower_bound_check(4, 0.9 + 1j)
         assert report.holds
+
+    @pytest.mark.parametrize("s", [0.5, 0.0, -1.0 + 3.0j, 0.9 + 5.0j, -7000.0 + 2.0j])
+    def test_reports_the_wam_value_it_checks(self, s):
+        for n in (2, 11, 40, 63):
+            report = mersenne_lower_bound_check(n, s)
+            assert report.wam == wam_at(mersenne_factorization(n), s).value
+            assert report.goal_lhs == abs(report.wam)
 
     def test_margins_positive_on_sample(self):
         for n in (2, 5, 11, 25, 40):

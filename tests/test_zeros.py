@@ -14,7 +14,8 @@ from conftest import SMALL_PRIMES, factorizations
 from wamlab.arith import Factorization, factor
 from wamlab import zeros
 from wamlab.critical import critical_abscissa
-from wamlab.wamcore import integer_wam_sums
+from wamlab.triples import generate_triples
+from wamlab.wamcore import ExpSum, integer_wam_sums
 from wamlab.zeros import (
     BoundaryZero,
     Classification,
@@ -82,13 +83,16 @@ def count_with_jitter(f, region):
 
 
 def dedup_reference(points, residuals, radius):
-    """The quadratic greedy loop that _dedup replaced, kept as its oracle."""
+    """The quadratic greedy loop that _dedup replaced, kept as its oracle;
+    `radius` is one distance or one per point, and two points merge within
+    the larger of their radii."""
+    radii = np.broadcast_to(radius, points.shape)
     order = np.lexsort((points.imag, points.real))
     kept = []
     for i in order:
         merged = False
         for j, k in enumerate(kept):
-            if abs(points[i] - points[k]) < radius:
+            if abs(points[i] - points[k]) < max(radii[i], radii[k]):
                 if residuals[i] < residuals[k]:
                     kept[j] = i
                 merged = True
@@ -232,6 +236,16 @@ class TestSearchQuality:
         search = find_zeros(factor(SAMPLE_6), region)
         assert any(abs(r.location - expected) < 1e-8 for r in search.records)
 
+    def test_a_zero_met_from_two_seeds_is_reported_once(self):
+        # Two seeds converge 1.23e-9 apart on the zero at 2.96435755 +
+        # 1590.38863610i, where |f'| is 0.052 in the search's units: Newton
+        # stops with the points good to about 2e-9.  The contour count of
+        # the rectangle and a certified count are 641.
+        search = find_zeros(factor(SAMPLE_6), SearchRegion(-10.0, 7.29, 0.0131, 2000.0137))
+        assert len(search.records) == 641
+        near = [r for r in search.records if abs(r.location - (2.96435755 + 1590.3886361j)) < 1e-6]
+        assert len(near) == 1
+
     def test_search_tallies_are_consistent(self):
         search = find_zeros(factor(30), STRIP_TO_50)
         assert search.seeds >= search.converged
@@ -264,7 +278,18 @@ class TestSeedBands:
         finally:
             tracemalloc.stop()
         assert len(search.records) > 0
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
+
+    def test_a_row_of_100000_points_still_seeds(self):
+        # Two rows of 100,000 points, one cell high, around the first zero
+        # of (ln 2)^s + (ln 3)^s at 6.821234i: wider than one block,
+        # so the band holds two rows.
+        step = 2.0 / 99_999
+        region = SearchRegion(-1.0, 1.0, 6.82123, 6.82123 + step, grid_step=step)
+        den = integer_wam_sums(factor(6)).denominator
+        seeds = _seed_points(den, region)
+        assert seeds.size == 1
+        assert abs(seeds[0] - 6.821234041066631j) < step
 
 
 KNOWN_COUNTS = [
@@ -373,6 +398,72 @@ class TestCriticalLineProbe:
         assert abs(probe.min_abs - best[0]) < 1e-12
 
 
+def probe_cases():
+    """(n, b_max, samples): seeded dataset triples with m = 3...6, sample 6
+    and seeded seven-prime products (m = 7), over sample counts that are
+    prime, one, or just past a block, and spacings from 1e-3 to 100."""
+    rng = random.Random(16)
+    by_m = {}
+    for t in generate_triples(100_000):
+        by_m.setdefault(len(t.abc_factorization.primes), []).append(t.abc_factorization.value)
+    ns = [n for m in (3, 4, 5, 6) for n in rng.sample(by_m[m], 5)]
+    ns += [SAMPLE_6] + [math.prod(rng.sample(SMALL_PRIMES, 7)) for _ in range(3)]
+    sizes = [(1e4, 99_991), (1e3, 65_537), (1e2, 131_071), (1e5, 999), (1e4, 7), (500.0, 1)]
+    return [(n, *sizes[i % len(sizes)]) for i, n in enumerate(ns)]
+
+
+def pointwise_scan(f, b_max, samples):
+    """(min |f|, its index) on the probe's grid, each sample one 1-d dot,
+    the bits of a one-point ExpSum call; ties go to the lowest index."""
+    den = integer_wam_sums(f).denominator
+    terms, sigma = den.shifted_terms(
+        critical_abscissa(f).a_crit + 1j * (b_max / samples) * np.arange(samples + 1)
+    )
+    vals = np.abs(np.matmul(terms[:, None, :], den.weights)[:, 0] * np.exp(sigma))
+    k = int(np.argmin(vals))
+    return float(vals[k]), k
+
+
+class TestPrunedCriticalLineScan:
+    @pytest.mark.parametrize("n, b_max, samples", probe_cases())
+    def test_equals_an_exhaustive_pointwise_scan(self, n, b_max, samples):
+        f = factor(n)
+        probe = critical_line_probe(f, b_max, samples)
+        least, k = pointwise_scan(f, b_max, samples)
+        assert probe.min_abs == least
+        assert probe.argmin_b == b_max / samples * k
+
+    def test_tables_a_fraction_and_evaluates_few_samples_pointwise(self, monkeypatch):
+        # 2e6 samples at m = 4, as pole-census probes, in 31 blocks.  The
+        # bound leaves about a seventh of the samples to the kernel, and a
+        # block needs pointwise values only where it may hold a new minimum.
+        tabled, pointwise = [], []
+        product, call = zeros._serial_product, ExpSum.__call__
+
+        def counted_product(a, b):
+            tabled.append(a.shape[0] * (b.shape[1] if b.ndim == 2 else 1))
+            return product(a, b)
+
+        monkeypatch.setattr(zeros, "_serial_product", counted_product)
+        monkeypatch.setattr(ExpSum, "__call__", lambda es, s: pointwise.append(s) or call(es, s))
+        critical_line_probe(factor(2 * 3 * 5 * 7), 1e5, 2_000_000)
+        assert sum(tabled) < 0.2 * 2_000_000
+        assert len(pointwise) < 8
+
+    def test_peak_memory_is_bounded(self):
+        # 2e6 samples in blocks of 2^16: a block's table, its pruned samples
+        # and their temporaries stay near 1 MB each.
+        f = factor(SAMPLE_6)
+        critical_line_probe(f, 10.0, 100)
+        tracemalloc.start()
+        try:
+            critical_line_probe(f, 1e5, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestRegionValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -417,3 +508,9 @@ class TestDedup:
     def test_empty_and_single(self):
         assert _dedup(np.array([], dtype=complex), [], 1e-9) == []
         assert _dedup(np.array([1 + 2j]), [0.5], 1e-9) == [0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_point_radii_match_quadratic_reference(self, seed):
+        points, residuals = planted_cloud(seed, 1e-3, 100.0)
+        radii = np.random.default_rng(seed).uniform(0.2e-3, 2e-3, points.size)
+        assert _dedup(points, residuals, radii) == dedup_reference(points, residuals, radii)
