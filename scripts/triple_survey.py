@@ -8,7 +8,9 @@ Produces three CSV artifacts in the output directory:
   acrit_scan.csv  per-triple quality, top prime, and critical abscissa
 
 Every file is produced through the command-line interface, so rerunning a
-header's recorded command reproduces the file byte for byte.
+header's recorded command reproduces the file byte for byte.  The three
+commands run in this one process on the same --gen source, so the triples
+are generated once and the later commands reuse them.
 """
 
 import argparse

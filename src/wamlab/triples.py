@@ -9,6 +9,7 @@ rasterizes max |wam(abc, s)| grids over rectangles of the s-plane.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
@@ -25,7 +26,7 @@ from .arith import (
     _primes_upto,
     factor,
 )
-from .wamcore import integer_wam_sums
+from .wamcore import _serial_product, integer_wam_sums
 from .zeros import SearchRegion, _axis_size
 
 DEFAULT_HEATMAP_CAP = 1e6
@@ -33,6 +34,10 @@ DEFAULT_HEATMAP_CAP = 1e6
 #: bytes per cell, so a heatmap at the cap peaks near 260 MB resident.
 _HEATMAP_MAX_CELLS = 1 << 22
 GENERATE_C_MAX_LIMIT = 10**7
+#: Most triples generate_triples may keep.  A kept triple takes about 0.7 KB,
+#: so a result at the cap holds about 0.7 GB; low qualities reach it first
+#: (q <= 1/3 keeps every coprime pair: 608,294 of them up to c = 2000).
+_GENERATE_MAX_TRIPLES = 1 << 20
 #: Relative slack for the vectorized quality prefilter; survivors are
 #: re-tested exactly before being kept.
 _PREFILTER_SLACK = 1e-9
@@ -181,7 +186,17 @@ def generate_triples(c_max: int, min_quality: float = 1.0) -> list[AbcTriple]:
     survivors are validated exactly.  Radicals and indices are int32 and
     the scan runs on blocks of c: about 1.5 s and 51 MB peak RSS at
     c_max = 10^6, and 15 s and 195 MB at 10^7 (2-vCPU x86-64, q = 1).
+
+    MemoryError is raised, before a block of survivors is validated, if
+    they would take the kept triples over _GENERATE_MAX_TRIPLES.  The last
+    result is cached, so a second call with the same arguments returns a
+    new list of the same triples without generating them again.
     """
+    return list(_generate(c_max, min_quality))
+
+
+@functools.lru_cache(maxsize=1)
+def _generate(c_max: int, min_quality: float) -> tuple[AbcTriple, ...]:
     if not 2 <= c_max <= GENERATE_C_MAX_LIMIT:
         raise ValueError(f"c_max must lie in [2, {GENERATE_C_MAX_LIMIT}]")
     rad = _radical_sieve(c_max)
@@ -220,13 +235,18 @@ def generate_triples(c_max: int, min_quality: float = 1.0) -> list[AbcTriple]:
             passing = np.log(c) >= (min_quality - _PREFILTER_SLACK) * log_radprod
             a, c = a[passing], c[passing]
             coprime = np.gcd(a, c) == 1
+            if len(found) + np.count_nonzero(coprime) > _GENERATE_MAX_TRIPLES:
+                raise MemoryError(
+                    f"generation would keep over {_GENERATE_MAX_TRIPLES} triples; "
+                    "raise the minimum quality or lower c_max"
+                )
             for ai, ci in zip(a[coprime].tolist(), c[coprime].tolist()):
                 t = validate_triple(ai, ci - ai, ci)
                 if t.quality >= min_quality:
                     found.append(t)
             lo = hi
     found.sort(key=lambda t: (-t.quality, t.c, t.a))
-    return found
+    return tuple(found)
 
 
 def em_histogram(triples: Iterable[AbcTriple]) -> dict[int, int]:
@@ -271,10 +291,13 @@ def max_wam_heatmap(
 
     Cells at poles (or anywhere the ratio exceeds the cap) saturate at
     log10(cap); the cap is recorded on the grid.  Each triple's grid is one
-    separable exponential-sum product (ExpSum.outer).  |wam| is conjugate
-    symmetric, so when the im axis is symmetric about 0 only the rows with
-    im >= 0 are computed and the rest are their exact mirror image.  Over
-    _HEATMAP_MAX_CELLS cells, MemoryError is raised before any axis is built.
+    matrix product: numerator and denominator share their rates, so the
+    exp(i im ⊗ r) and shifted re-axis terms of ExpSum.outer are computed
+    once, and the rows weighted by each are stacked against the re terms.
+    |wam| is conjugate symmetric, so when the im axis is symmetric about 0
+    only the rows with im >= 0 are computed and the rest are their exact
+    mirror image.  Over _HEATMAP_MAX_CELLS cells, MemoryError is raised
+    before any axis is built.
     """
     if not triples:
         raise ValueError("heatmap needs at least one triple")
@@ -286,17 +309,27 @@ def max_wam_heatmap(
     re_axis = _symmetric_axis(region.re_min, region.re_max, step, n_re)
     im_axis = _symmetric_axis(region.im_min, region.im_max, step, n_im)
     half = im_axis.size // 2 if np.all(im_axis + im_axis[::-1] == 0.0) else 0
-    best = np.zeros((im_axis.size - half, re_axis.size))
-    for t in triples:
-        sums = integer_wam_sums(t.abc_factorization)
-        num = sums.numerator.outer(1j * im_axis[half:], re_axis)
-        den = sums.denominator.outer(1j * im_axis[half:], re_axis)
-        ratio = np.abs(num)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ratio, np.abs(den), out=ratio)
-        # fmin takes cap over a NaN (0/0) ratio, and min(inf, cap) is cap.
-        np.fmin(ratio, cap, out=ratio)
-        np.maximum(best, ratio, out=best)
+    rows = 1j * im_axis[half:]
+    best = np.zeros((rows.size, re_axis.size))
+    # 0/0 and x/0 ratios are NaN and inf; fmin takes cap over a NaN, and
+    # min(inf, cap) is cap.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in triples:
+            sums = integer_wam_sums(t.abc_factorization)
+            num, den = sums.numerator, sums.denominator
+            im_terms = np.exp(np.multiply.outer(rows, den.rates))
+            re_terms = den.shifted_terms(re_axis)[0].astype(complex)
+            stacked = np.concatenate([im_terms * num.weights, im_terms * den.weights])
+            # numpy sends a 1-row product to gemv, whose bits a 2-row gemm
+            # need not reproduce, so one row per sum stays a product of its own.
+            if rows.size == 1:
+                moduli = np.abs([_serial_product(r, re_terms.T)[0] for r in stacked[:, None]])
+            else:
+                moduli = np.abs(_serial_product(stacked, re_terms.T))
+            ratio = moduli[: rows.size]
+            np.divide(ratio, moduli[rows.size :], out=ratio)
+            np.fmin(ratio, cap, out=ratio)
+            np.maximum(best, ratio, out=best)
     best = np.concatenate([best[::-1][:half], best])
     cells = np.log10(np.maximum(best, 1e-300))
     return HeatmapGrid(re_axis, im_axis, cells, cap, half)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import wamlab
+from wamlab import triples
 from wamlab.arith import MAX_VALUE, Factorization
 
 FULL = os.environ.get("WAMLAB_FULL") == "1"
@@ -26,6 +27,15 @@ settings.register_profile(
     max_examples=200 if FULL else 60,
 )
 settings.load_profile("wamlab")
+
+
+@pytest.fixture(autouse=True)
+def fresh_generation():
+    """Start every test with an empty generate_triples cache, so that a test
+    which patches the generator's internals runs them instead of reading a
+    result an earlier test left."""
+    triples._generate.cache_clear()
+
 
 SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wamlab
-from wamlab import cli, wamcore
+from wamlab import cli, triples, wamcore
 from conftest import run_with_blas_threads
 from wamlab.arith import _brent_rho, is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
@@ -282,6 +282,27 @@ class TestHeatmapCommand:
             for y, row in zip(grid.im_axis.tolist(), grid.cells.tolist())
         ]
         assert body_lines(text)[1:] == expected
+
+
+class TestSharedGeneration:
+    def test_survey_commands_generate_once_per_source(self, monkeypatch, tmp_path):
+        # triple_survey.py runs these three in one process on one --gen set.
+        sieved = []
+        sieve = triples._radical_sieve
+        monkeypatch.setattr(triples, "_radical_sieve", lambda n: sieved.append(n) or sieve(n))
+        source = ["--gen", "2000", "--min-quality", "1.0"]
+        for argv in (["heatmap", "--step", "0.5"], ["em-hist"], ["acrit-scan"]):
+            run_file(tmp_path, [*argv, *source], name=f"{argv[0]}.csv")
+        assert sieved == [2000]
+        run_file(tmp_path, ["em-hist", "--gen", "2000", "--min-quality", "1.1"])
+        assert sieved == [2000, 2000]
+
+    def test_generation_over_the_triple_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(triples, "_GENERATE_MAX_TRIPLES", 1000)
+        code, out, err = run(["em-hist", "--gen", "500", "--min-quality", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("wamlab:") and "1000 triples" in err
 
 
 class TestDeterminism:

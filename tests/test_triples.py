@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,42 @@ class TestGeneration:
         assert abs(worst - 3.7856486626660013) < 1e-9
 
 
+class TestGenerationCacheAndCap:
+    def test_calls_return_equal_lists_that_are_distinct(self):
+        first = generate_triples(500, 1.0)
+        expected = list(first)
+        first.clear()
+        second = generate_triples(500, 1.0)
+        assert second == expected
+        assert second is not first
+
+    def test_only_the_last_result_is_kept(self, monkeypatch):
+        sieved = []
+        sieve = triples_module._radical_sieve
+        monkeypatch.setattr(triples_module, "_radical_sieve", lambda n: sieved.append(n) or sieve(n))
+        for c_max, q in ((300, 1.0), (300, 1.0), (300, 0.9), (300, 1.0), (400, 1.0)):
+            generate_triples(c_max, q)
+        assert sieved == [300, 300, 300, 400]
+
+    def test_cap_is_checked_before_validation(self, monkeypatch):
+        # At q <= 0 every coprime pair survives the prefilter and is kept,
+        # so the cap admits exactly that many triples and refuses one fewer.
+        kept = len(generate_triples(100, 0.0))
+        monkeypatch.setattr(triples_module, "_GENERATE_MAX_TRIPLES", kept)
+        triples_module._generate.cache_clear()
+        assert len(generate_triples(100, 0.0)) == kept
+        triples_module._generate.cache_clear()
+        monkeypatch.setattr(triples_module, "_GENERATE_MAX_TRIPLES", kept - 1)
+        validated = []
+        monkeypatch.setattr(
+            triples_module, "validate_triple", lambda *abc: validated.append(abc) or validate_triple(*abc)
+        )
+        with pytest.raises(MemoryError, match=f"over {kept - 1} triples"):
+            generate_triples(100, 0.0)
+        # c <= 100 fits in one block of candidates, so nothing was validated.
+        assert validated == []
+
+
 class TestHistogram:
     def test_counts_top_exponents(self):
         # e_m is the exponent attached to the largest prime of a*b*c:
@@ -240,8 +277,78 @@ class TestDatasets:
         assert raw == b"1 8 9\n"
 
 
+DATASET = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "triples_c10000.txt")
+
+
+def two_product_cells(triples, grid):
+    """The cells of grid from two ExpSum.outer products per triple, one for
+    the numerator and one for the denominator: the reference that
+    max_wam_heatmap's single stacked product must match bit for bit."""
+    rows = 1j * grid.im_axis[grid.mirrored :]
+    best = np.zeros((rows.size, grid.re_axis.size))
+    for t in triples:
+        sums = triples_module.integer_wam_sums(t.abc_factorization)
+        num = sums.numerator.outer(rows, grid.re_axis)
+        den = sums.denominator.outer(rows, grid.re_axis)
+        ratio = np.abs(num)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(ratio, np.abs(den), out=ratio)
+        np.fmin(ratio, grid.cap, out=ratio)
+        np.maximum(best, ratio, out=best)
+    best = np.concatenate([best[::-1][: grid.mirrored], best])
+    return np.log10(np.maximum(best, 1e-300))
+
+
 class TestHeatmap:
     REGION = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.1)
+
+    def test_dataset_grid_equals_two_products(self):
+        triples = list(parse_dataset(DATASET))
+        assert len(triples) == 122
+        grid = max_wam_heatmap(triples, SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04))
+        assert grid.cells.shape == (301, 301)
+        assert np.array_equal(grid.cells, two_product_cells(triples, grid))
+
+    def test_saturated_grid_equals_two_products(self):
+        triples = generate_triples(2000)
+        grid = max_wam_heatmap(triples, self.REGION, cap=1e3)
+        assert np.any(grid.cells == 3.0)
+        assert np.array_equal(grid.cells, two_product_cells(triples, grid))
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            REGION,
+            SearchRegion(-6.0, 6.0, -0.05, 0.05, grid_step=0.1),  # one computed row
+            SearchRegion(-6.0, 6.0, 1.0, 1.05, grid_step=0.1),  # one row
+            SearchRegion(0.5, 0.55, -3.0, 3.0, grid_step=0.1),  # one column
+        ],
+    )
+    def test_weighted_denominator_equals_two_products(self, monkeypatch, region):
+        # Numerator and denominator share rates but not weights, so the
+        # stacked rows must carry each sum's own weights.
+        def sums(f):
+            rates = [math.log(math.log(p)) for p in f.primes]
+            weights = [0.5 + (i % 3) for i in range(len(rates))]
+            return WamSums(ExpSum(f.exponents, rates), ExpSum(weights, rates))
+
+        monkeypatch.setattr(triples_module, "integer_wam_sums", sums)
+        triples = generate_triples(500)
+        grid = max_wam_heatmap(triples, region)
+        assert np.array_equal(grid.cells, two_product_cells(triples, grid))
+
+    def test_temporaries_are_freed_per_triple(self):
+        # The stacked product and its moduli take 48 bytes per computed cell
+        # while one triple is processed; none of it may outlive its triple.
+        triples = list(parse_dataset(DATASET))
+        region = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04)
+        tracemalloc.start()
+        try:
+            grid = max_wam_heatmap(triples, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * grid.cells.size
 
     def test_axes_are_symmetric_and_hit_zero(self):
         grid = max_wam_heatmap(generate_triples(200, 1.0), self.REGION)
