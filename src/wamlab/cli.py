@@ -6,7 +6,7 @@ natural-log contract, caps) on every CSV.  a_crit, wam and the zeros do
 not depend on the log base, but critical-line's min_abs_f, the absolute
 |sum_k (ln p_k)^s|, scales by (ln b)^(-a_crit) in base b.  Exit codes:
 0 success, 1 validation/usage error or an unusable file path, 2 exhausted
-budget, oversized grid or failed convergence.
+budget or oversized grid.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from .triples import (
     parse_dataset,
 )
 from .wamcore import mersenne_lower_bound_check, wam_at
-from .zeros import (
-    BoundaryZero,
-    QuadratureNoConvergence,
-    SearchRegion,
-    critical_line_probe,
-    find_zeros,
-)
+from .zeros import SearchRegion, critical_line_probe, find_zeros
 
 #: Re(s) grid x Im(s) grid swept by the bounds-check subcommand.
 BOUNDS_RE_GRID = (-1.0, 0.0, 0.5, 0.9)
@@ -474,13 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args.func(args, out)
         out.write()
-    except (
-        FactorizationBudgetExceeded,
-        EnumerationBudget,
-        QuadratureNoConvergence,
-        BoundaryZero,
-        MemoryError,
-    ) as exc:
+    except (FactorizationBudgetExceeded, EnumerationBudget, MemoryError) as exc:
         print(f"wamlab: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -187,8 +187,8 @@ def generate_triples(c_max: int, min_quality: float = 1.0) -> list[AbcTriple]:
     the scan runs on blocks of c: about 1.5 s and 51 MB peak RSS at
     c_max = 10^6, and 15 s and 195 MB at 10^7 (2-vCPU x86-64, q = 1).
 
-    MemoryError is raised, before a block of survivors is validated, if
-    they would take the kept triples over _GENERATE_MAX_TRIPLES.  The last
+    MemoryError is raised, before any candidate is validated, if more than
+    _GENERATE_MAX_TRIPLES survive the prefilter.  The last
     result is cached, so a second call with the same arguments returns a
     new list of the same triples without generating them again.
     """
@@ -203,7 +203,7 @@ def _generate(c_max: int, min_quality: float) -> tuple[AbcTriple, ...]:
     by_rad = np.argsort(rad[1:], kind="stable").astype(np.int32) + 1
     sorted_rad = rad[by_rad]
     inv_q = 1.0 / min_quality if min_quality > 0 else math.inf
-    found: list[AbcTriple] = []
+    pairs, survivors = [], 0  # coprime prefilter survivors (a, c), validated after the scan
     for c_lo in range(2, c_max + 1, _C_BLOCK):
         cs = np.arange(c_lo, min(c_lo + _C_BLOCK, c_max + 1), dtype=np.int32)
         # The slack only widens the scan; validate_triple stays the exact gate.
@@ -235,16 +235,20 @@ def _generate(c_max: int, min_quality: float) -> tuple[AbcTriple, ...]:
             passing = np.log(c) >= (min_quality - _PREFILTER_SLACK) * log_radprod
             a, c = a[passing], c[passing]
             coprime = np.gcd(a, c) == 1
-            if len(found) + np.count_nonzero(coprime) > _GENERATE_MAX_TRIPLES:
+            survivors += np.count_nonzero(coprime)
+            if survivors > _GENERATE_MAX_TRIPLES:
                 raise MemoryError(
                     f"generation would keep over {_GENERATE_MAX_TRIPLES} triples; "
                     "raise the minimum quality or lower c_max"
                 )
-            for ai, ci in zip(a[coprime].tolist(), c[coprime].tolist()):
-                t = validate_triple(ai, ci - ai, ci)
-                if t.quality >= min_quality:
-                    found.append(t)
+            pairs.append((a[coprime], c[coprime]))
             lo = hi
+    found = [
+        t
+        for a, c in pairs
+        for ai, ci in zip(a.tolist(), c.tolist())
+        if (t := validate_triple(ai, ci - ai, ci)).quality >= min_quality
+    ]
     found.sort(key=lambda t: (-t.quality, t.c, t.a))
     return tuple(found)
 

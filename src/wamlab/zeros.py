@@ -3,15 +3,14 @@
 Zeros of f are the candidate poles of wam.  A zero is an actual pole
 unless the numerator vanishes there too, which happens identically (for
 every zero at once) exactly when all exponents are equal.  The search is
-grid-seeded Newton iteration; an argument-principle contour count over
-the same rectangle serves as an independent cross-check, and a direct
+grid-seeded Newton iteration; a certified winding count of f round the
+same rectangle serves as an independent cross-check, and a direct
 scan along the vertical line Re(s) = a_crit probes how close f comes to
 vanishing near its critical abscissa.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,10 +23,6 @@ from .wamcore import ExpSum, _serial_product, integer_wam_sums
 
 #: |N(s)| below this multiple of sum e_k |(ln p_k)^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
-#: |f| below this multiple of its term scale is unsafe for contour quadrature.
-BOUNDARY_RTOL = 1e-12
-_GL_NODES_PER_PANEL = 64
-_MAX_PANELS_PER_EDGE = 64
 #: Points per block of the seed grid and of the critical-line scan: 2^16
 #: complex values, about 1 MB.  Seed rows up to _SEED_ROW_MAX points wide
 #: are evaluated in bands of two rows.
@@ -41,14 +36,13 @@ MAX_NEWTON_ITERS = 40
 #: 0.6-0.7 s at m = 6 and 1.1 s at m = 7 (2-vCPU x86-64).  A scan the bound
 #: cannot prune is exhaustive, at about 2.3 s per 2e8 samples.
 _PROBE_MAX_SAMPLES = 1 << 32
+#: Most segments argument_principle_count tests: about 27 s at m = 6, which
+#: tests 6e5 segments a second (2-vCPU x86-64).
+_COUNT_MAX_SEGMENTS = 1 << 24
 
 
 class BoundaryZero(RuntimeError):
-    """A contour node sits too close to a zero of f for safe quadrature."""
-
-
-class QuadratureNoConvergence(RuntimeError):
-    """The contour integral did not settle on an integer within budget."""
+    """f is within rounding of 0 on the contour of a winding count."""
 
 
 class Classification(str, Enum):
@@ -282,75 +276,55 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     )
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The panel rule on [-1, 1], computed once per process, on first use."""
-    return np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
-
-
-def _edge_nodes(z0: complex, z1: complex, panels: int):
-    """Gauss-Legendre nodes and weights on [z0, z1], composite in panels."""
-    x, w = _gauss_legendre()
-    starts = np.arange(panels) / panels
-    t = (starts[:, None] + (x[None, :] + 1.0) / (2.0 * panels)).ravel()
-    dz = z1 - z0
-    nodes = z0 + t * dz
-    weights = np.tile(w, panels) * (dz / (2.0 * panels))
-    return nodes, weights
-
-
-def _contour_integral(den: ExpSum, region: SearchRegion, panels: int) -> complex:
-    corners = [
-        complex(region.re_min, region.im_min),
-        complex(region.re_max, region.im_min),
-        complex(region.re_max, region.im_max),
-        complex(region.re_min, region.im_max),
-    ]
-    slopes = den.weights * den.rates
-    total = 0.0 + 0.0j
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        nodes, weights = _edge_nodes(a, b, panels)
-        terms = den.shifted_terms(nodes)[0]
-        fz = _serial_product(terms, den.weights)
-        floor = BOUNDARY_RTOL * _serial_product(np.abs(terms), np.abs(den.weights))
-        if np.any(np.abs(fz) < floor):
-            raise BoundaryZero(
-                "denominator vanishes on the contour; jitter the rectangle"
-            )
-        total += np.sum(weights * _serial_product(terms, slopes) / fz)
-    return total / (2j * math.pi)
-
-
 def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
-    """Number of zeros of f inside the rectangle, by contour integration.
+    """Number of zeros of f inside the rectangle, by a certified winding count.
 
-    (1/2 pi i) times the integral of f'/f over the boundary, evaluated by
-    composite Gauss-Legendre quadrature (64 nodes per panel) with the
-    panel count doubled until the rounded value is stable.
+    The count is the winding number of g(s) = e^(-cs) f(s) round the
+    boundary, c the midpoint of the rates: g has the zeros of f and a
+    smaller slope.  On a segment [z0, z1], |g'| is at most
+    L = sum_k |w_k (r_k - c)| max(|e^((r_k - c) z0)|, |e^((r_k - c) z1)|).
+    Where L |z1 - z0| plus the rounding slack stays below the larger of
+    |g(z0)| and |g(z1)|, g keeps within a half-plane along the segment and
+    the principal argument of g(z1)/g(z0) is its exact turn; every other
+    segment is halved (X. Ying and I. N. Katz, Numer. Math. 53, 1988).
+    Segments are tested from a stack, in blocks of at most _SEED_BLOCK
+    terms.  BoundaryZero is raised where |g| is within rounding of 0 on the
+    boundary, and MemoryError past _COUNT_MAX_SEGMENTS segments.
     """
     den = integer_wam_sums(f).denominator
     if len(den.weights) < 2:
         raise ValueError("argument principle requires at least two factors")
-    previous = None
-    panels = 1
-    while panels <= _MAX_PANELS_PER_EDGE:
-        value = _contour_integral(den, region, panels)
-        snapped = int(round(value.real))
-        if (
-            previous == snapped
-            and abs(value.real - snapped) < 0.25
-            and abs(value.imag) < 0.25
-        ):
-            if snapped < 0:
-                raise QuadratureNoConvergence(
-                    f"contour count converged to {snapped} < 0"
-                )
-            return snapped
-        previous = snapped
-        panels *= 2
-    raise QuadratureNoConvergence(
-        f"contour integral unstable after {_MAX_PANELS_PER_EDGE} panels/edge"
-    )
+    g = ExpSum(den.weights, den.rates - 0.5 * (den.rates.max() + den.rates.min()))
+    slopes, weights, m = np.abs(g.weights * g.rates), np.abs(g.weights), g.rates.size
+    rounding, rmax = 8 * np.finfo(float).eps, np.abs(g.rates).max()
+    block = max(1, _SEED_BLOCK // (2 * m))  # segments whose two ends have _SEED_BLOCK terms
+    corners = np.array([complex(region.re_min, region.im_min), complex(region.re_max, region.im_min),
+                        complex(region.re_max, region.im_max), complex(region.re_min, region.im_max)])
+    stack, turn, tested = [(corners, np.roll(corners, -1))], 0.0, 0
+    while stack:
+        a, b = stack.pop()
+        if a.size > block:
+            stack.append((a[block:], b[block:]))
+            a, b = a[:block], b[:block]
+        tested += a.size
+        if tested > _COUNT_MAX_SEGMENTS:
+            raise MemoryError(f"the winding count tests at most {_COUNT_MAX_SEGMENTS} segments")
+        # Both ends of a segment in the units of the larger of their shifts.
+        terms, sigma = g.shifted_terms(np.concatenate([a, b]))
+        terms *= np.exp(sigma - np.tile(sigma.reshape(2, -1).max(axis=0), 2))[:, None]
+        mods = np.abs(terms)
+        v0, v1 = _serial_product(terms, g.weights).reshape(2, -1)
+        slope = _serial_product(mods.reshape(2, -1, m).max(axis=0), slopes) * np.abs(b - a)
+        scale = _serial_product(mods, weights).reshape(2, -1).max(axis=0)
+        slack = rounding * (rmax * np.maximum(np.abs(a), np.abs(b)) + m) * scale
+        ok = slope + slack < np.maximum(np.abs(v0), np.abs(v1))
+        if np.any(~ok & (slope <= slack)):
+            raise BoundaryZero("denominator vanishes on the contour; jitter the rectangle")
+        turn += np.angle(v1[ok] * v0[ok].conj()).sum()
+        if not ok.all():
+            mid = 0.5 * (a[~ok] + b[~ok])
+            stack.append((np.concatenate([a[~ok], mid]), np.concatenate([mid, b[~ok]])))
+    return round(float(turn) / (2 * math.pi))
 
 
 @dataclass(frozen=True)

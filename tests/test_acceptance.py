@@ -38,7 +38,6 @@ from wamlab.wamcore import (
 )
 from wamlab.zeros import (
     BoundaryZero,
-    QuadratureNoConvergence,
     SearchRegion,
     argument_principle_count,
     find_zeros,
@@ -179,7 +178,7 @@ def test_criterion_03_contour_count_agreement():
             region = SearchRegion(-1.0, a0 + 1.0, 0.0, 40.0 + bump)
             try:
                 counted = argument_principle_count(f, region)
-            except (BoundaryZero, QuadratureNoConvergence):
+            except BoundaryZero:
                 continue
             found = len(find_zeros(f, region).records)
             matched = counted == found

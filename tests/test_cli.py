@@ -304,6 +304,18 @@ class TestSharedGeneration:
         assert out == ""
         assert err.startswith("wamlab:") and "1000 triples" in err
 
+    def test_generation_over_the_triple_cap_validates_nothing(self, monkeypatch):
+        # At q = 0 every coprime pair with c <= 10^4 survives the prefilter,
+        # far more than 2^20: the scan stops at the cap, before any pair is
+        # validated.
+        def refuse(*abc):
+            raise AssertionError(f"validated {abc}")
+
+        monkeypatch.setattr(triples, "validate_triple", refuse)
+        code, out, err = run(["em-hist", "--gen", "10000", "--min-quality", "0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("wamlab:") and f"{1 << 20} triples" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

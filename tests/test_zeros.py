@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from wamlab.wamcore import ExpSum, integer_wam_sums
 from wamlab.zeros import (
     BoundaryZero,
     Classification,
-    QuadratureNoConvergence,
     SearchRegion,
     argument_principle_count,
     _dedup,
@@ -77,7 +77,7 @@ def count_with_jitter(f, region):
                     im_max=region.im_max + bump,
                 ),
             )
-        except (BoundaryZero, QuadratureNoConvergence):
+        except BoundaryZero:
             continue
     raise AssertionError("could not find a clean contour")
 
@@ -239,10 +239,11 @@ class TestSearchQuality:
     def test_a_zero_met_from_two_seeds_is_reported_once(self):
         # Two seeds converge 1.23e-9 apart on the zero at 2.96435755 +
         # 1590.38863610i, where |f'| is 0.052 in the search's units: Newton
-        # stops with the points good to about 2e-9.  The contour count of
-        # the rectangle and a certified count are 641.
-        search = find_zeros(factor(SAMPLE_6), SearchRegion(-10.0, 7.29, 0.0131, 2000.0137))
-        assert len(search.records) == 641
+        # stops with the points good to about 2e-9.  The certified count of
+        # the rectangle is 641.
+        region = SearchRegion(-10.0, 7.29, 0.0131, 2000.0137)
+        search = find_zeros(factor(SAMPLE_6), region)
+        assert len(search.records) == argument_principle_count(factor(SAMPLE_6), region) == 641
         near = [r for r in search.records if abs(r.location - (2.96435755 + 1590.3886361j)) < 1e-6]
         assert len(near) == 1
 
@@ -316,29 +317,46 @@ class TestArgumentPrinciple:
             found = len(find_zeros(f, region).records)
             assert count_with_jitter(f, region) == found, f.value
 
-    def test_quadrature_rule_is_computed_once(self, monkeypatch):
-        calls = []
-        leggauss = np.polynomial.legendre.leggauss
+    @pytest.mark.parametrize("im_max,count", [(600.0137, 170), (2000.0137, 566)])
+    def test_counts_where_the_zeros_are_dense(self, im_max, count):
+        # A Gauss-Legendre contour failed to settle on these rectangles.
+        region = SearchRegion(-1.0, 7.29, 0.0131, im_max)
+        f = factor(SAMPLE_6)
+        assert argument_principle_count(f, region) == len(find_zeros(f, region).records) == count
 
-        def counting(deg):
-            calls.append(deg)
-            return leggauss(deg)
-
-        zeros._gauss_legendre.cache_clear()
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        try:
-            for n, region, count in KNOWN_COUNTS:
-                assert argument_principle_count(factor(n), region) == count
-        finally:
-            zeros._gauss_legendre.cache_clear()
-        assert calls == [zeros._GL_NODES_PER_PANEL]
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 7), (11, 101)])
+    def test_two_prime_count_matches_the_closed_form(self, p, q):
+        # Edges at Im 0.5 and 10^4 + 0.25, and zeros on Re 0: the
+        # rectangle's count is the closed-form zeros between its edges.
+        expected = [z for z in two_prime_zeros(p, q, 1e4 + 0.25) if z.imag > 0.5]
+        region = SearchRegion(-1.0, 1.0, 0.5, 1e4 + 0.25)
+        assert argument_principle_count(factor(p * q), region) == len(expected) > 100
 
     def test_boundary_zero_is_detected(self):
         # The first zero for {2, 3} sits exactly on the top edge here, so the
-        # contour must refuse rather than return a wrong count.
+        # count must refuse rather than return a wrong count, and promptly.
         region = SearchRegion(-1.0, 1.0, 0.0, 6.821234041066631)
-        with pytest.raises((BoundaryZero, QuadratureNoConvergence)):
+        start = time.perf_counter()
+        with pytest.raises(BoundaryZero):
             argument_principle_count(factor(6), region)
+        assert time.perf_counter() - start < 0.1
+
+    def test_segment_cap_raises_memory_error(self, monkeypatch):
+        monkeypatch.setattr(zeros, "_COUNT_MAX_SEGMENTS", 100)
+        with pytest.raises(MemoryError, match="100 segments"):
+            argument_principle_count(factor(SAMPLE_6), SearchRegion(-1.0, 7.29, 0.0131, 600.0137))
+
+    def test_memory_is_bounded_on_a_tall_rectangle(self):
+        f = factor(SAMPLE_6)
+        argument_principle_count(f, SearchRegion(-1.0, 7.29, 0.0131, 10.0137))
+        tracemalloc.start()
+        try:
+            count = argument_principle_count(f, SearchRegion(-1.0, 7.29, 0.0131, 20000.0137))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count > 5000
+        assert peak < 8 * 2**20
 
 
 class TestCriticalLineProbe:
