@@ -52,7 +52,6 @@ from .wamcore import (
     EmptyFactorization,
     WamEvaluation,
     crude_em_bound_holds,
-    em_limit,
     mersenne_lower_bound_check,
     wam,
     wam_at,
@@ -101,7 +100,6 @@ __all__ = [
     "EmptyFactorization",
     "WamEvaluation",
     "crude_em_bound_holds",
-    "em_limit",
     "mersenne_lower_bound_check",
     "wam",
     "wam_at",

@@ -340,7 +340,8 @@ class Factorization:
 
     @property
     def e_m(self) -> int:
-        """Multiplicity of the largest prime factor."""
+        """Multiplicity of the largest prime factor: the limit of wam(n, a)
+        as real a -> +inf."""
         if not self.exponents:
             raise ValueError("1 has no prime factors")
         return self.exponents[-1]
@@ -406,11 +407,6 @@ def radical(f: Factorization) -> int:
     6
     """
     return math.prod(f.primes)
-
-
-def omega(f: Factorization) -> int:
-    """Number of distinct prime factors."""
-    return len(f.primes)
 
 
 def big_omega(f: Factorization) -> int:

@@ -4,9 +4,10 @@ All outputs are deterministic for a fixed argv: ASCII, LF line endings,
 shortest-repr floats, and a '#' metadata header (tool version,
 natural-log contract, caps) on every CSV.  a_crit, wam and the zeros do
 not depend on the log base, but critical-line's min_abs_f, the absolute
-|sum_k (ln p_k)^s|, scales by (ln b)^(-a_crit) in base b.  Exit codes:
-0 success, 1 validation/usage error or an unusable file path, 2 exhausted
-budget or oversized grid.
+|sum_k (ln p_k)^s|, scales by (ln b)^(-a_crit) in base b.  mersenne and
+bounds-check take --nmax in [2, 63], the range of mersenne_family.  Exit
+codes: 0 success, 1 validation/usage error or an unusable file path,
+2 exhausted budget or oversized grid.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _load_triples(args, out: _Output):
         out.meta["source"] = f"dataset {args.triples}"
         out.meta["parse_issues"] = len(parse.issues)
     else:
-        min_q = getattr(args, "min_quality", 1.0)
+        min_q = args.min_quality
         triples = generate_triples(args.gen, min_q)
         out.meta["source"] = f"generated c_max={args.gen} min_quality={_fmt(min_q)}"
     out.meta["triples"] = len(triples)
@@ -308,13 +309,10 @@ def _cmd_acrit_scan(args, out: _Output):
 
 
 def _cmd_mersenne(args, out: _Output):
-    family = mersenne_family(args.nmax)
     s = args.s
     out.meta["s"] = _fmt_complex(s)
-    if family.skipped:
-        out.meta["skipped"] = ";".join(f"n={n}" for n, _ in family.skipped)
     rows = []
-    for t in family.triples:
+    for t in mersenne_family(args.nmax):
         n = t.c.bit_length() - 1
         if s.real < 1:
             chk = mersenne_lower_bound_check(n, s)
@@ -366,13 +364,11 @@ def _cmd_cyclo(args, out: _Output):
 
 
 def _cmd_bounds_check(args, out: _Output):
-    if not 2 <= args.nmax <= 63:
-        raise ValueError(f"n_max must lie in [2, 63], got {args.nmax}")
     grid = [complex(re, im) for re in BOUNDS_RE_GRID for im in BOUNDS_IM_GRID]
     rows = [
-        [n, c.s.real, c.s.imag, c.lemma_lhs, c.lemma_rhs, c.goal_lhs, c.goal_rhs, c.holds]
-        for n in range(2, args.nmax + 1)
-        for c in mersenne_lower_bound_check(n, grid)
+        [c.n, c.s.real, c.s.imag, c.lemma_lhs, c.lemma_rhs, c.goal_lhs, c.goal_rhs, c.holds]
+        for t in mersenne_family(args.nmax)
+        for c in mersenne_lower_bound_check(t.c.bit_length() - 1, grid)
     ]
     out.table(
         ["n", "re", "im", "lemma_lhs", "lemma_rhs", "goal_lhs", "goal_rhs", "holds"],
@@ -418,12 +414,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--im", type=_parse_range, default=(0.0, 30.0))
     p.add_argument("--step", type=float, default=0.05)
 
-    def add_triple_source(p, with_quality=True):
+    def add_triple_source(p):
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--triples", help="dataset file of 'a b c' lines")
         grp.add_argument("--gen", type=int, help="generate triples with c <= CMAX")
-        if with_quality:
-            p.add_argument("--min-quality", type=float, default=1.0)
+        p.add_argument("--min-quality", type=float, default=1.0)
 
     p = add("heatmap", _cmd_heatmap, help="max |wam| grid over a triple set")
     add_triple_source(p)

@@ -163,8 +163,10 @@ def denominator_gap(f: Factorization, a: float) -> float:
     """(ln p_m)^a - sum_{k<m} (ln p_k)^a: positive exactly when a > a_crit.
 
     This is the triangle-inequality margin keeping f(s) nonzero on the
-    whole vertical line Re(s) = a.
+    whole vertical line Re(s) = a.  A NaN a raises ValueError.
     """
+    if math.isnan(a):
+        raise ValueError("the abscissa a must be a number, got nan")
     terms = [math.log(p) ** a for p in f.primes]
     return terms[-1] - sum(terms[:-1])
 
@@ -174,10 +176,13 @@ def wam_upper(f: Factorization, a: float) -> float:
 
     Bound: sum_k e_k (ln p_k)^a divided by the denominator gap.  Both
     are divided by (ln p_m)^a, so the bound is finite for every a.  It
-    decreases in a and converges to e_m as a -> +inf.
+    decreases in a and converges to e_m as a -> +inf; a = +inf gives e_m.
+    A NaN a raises ValueError.
     """
     if not f.primes:
         raise EmptyFactorization("wam_upper is undefined for n = 1")
+    if math.isnan(a):
+        raise ValueError("the abscissa a must be a number, got nan")
     log_ratios = _log_ratios(f)
     with np.errstate(over="ignore"):  # a is arbitrary here
         gap = 1.0 - float(_g(log_ratios, a))

@@ -18,14 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import (
-    DEFAULT_RHO_BUDGET,
-    MAX_VALUE,
-    Factorization,
-    FactorizationBudgetExceeded,
-    _primes_upto,
-    factor,
-)
+from .arith import MAX_VALUE, Factorization, _primes_upto, factor
 from .wamcore import _serial_product, integer_wam_sums
 from .zeros import SearchRegion, _axis_size
 
@@ -72,10 +65,11 @@ class AbcTriple:
         return f"{self.a} {self.b} {self.c}"
 
 
-def validate_triple(
-    a: int, b: int, c: int, *, budget: int = DEFAULT_RHO_BUDGET
-) -> AbcTriple:
+def validate_triple(a: int, b: int, c: int) -> AbcTriple:
     """Validate and canonicalize (a, b, c); factor a*b*c along the way.
+
+    a, b and c are factored at factor's default budget; a cofactor that
+    resists it raises FactorizationBudgetExceeded.
 
     >>> t = validate_triple(8, 1, 9)
     >>> (t.a, t.b, t.e_m, round(t.quality, 5))
@@ -92,9 +86,7 @@ def validate_triple(
     if a * b * c >= MAX_VALUE:
         raise ValueError("product exceeds 2^127")
     # a, b and c are pairwise coprime, so their prime powers merge as they are.
-    pairs = sorted(
-        pair for x in (a, b, c) if x > 1 for pair in factor(x, budget=budget).pairs()
-    )
+    pairs = sorted(pair for x in (a, b, c) if x > 1 for pair in factor(x).pairs())
     primes, exponents = zip(*pairs)
     f = Factorization(a * b * c, primes, exponents)
     quality = math.log(c) / sum(math.log(p) for p in primes)
@@ -199,6 +191,8 @@ def generate_triples(c_max: int, min_quality: float = 1.0) -> list[AbcTriple]:
 def _generate(c_max: int, min_quality: float) -> tuple[AbcTriple, ...]:
     if not 2 <= c_max <= GENERATE_C_MAX_LIMIT:
         raise ValueError(f"c_max must lie in [2, {GENERATE_C_MAX_LIMIT}]")
+    if math.isnan(min_quality):
+        raise ValueError("min_quality must be a number, got nan")
     rad = _radical_sieve(c_max)
     by_rad = np.argsort(rad[1:], kind="stable").astype(np.int32) + 1
     sorted_rad = rad[by_rad]
@@ -339,26 +333,12 @@ def max_wam_heatmap(
     return HeatmapGrid(re_axis, im_axis, cells, cap, half)
 
 
-@dataclass(frozen=True)
-class MersenneFamily:
-    """Triples (1, 2^n - 1, 2^n); entries whose odd part resisted the
-    factoring budget are skipped and listed in `skipped`, never fatal."""
+def mersenne_family(n_max: int) -> tuple[AbcTriple, ...]:
+    """The triples (1, 2^n - 1, 2^n) for n in [2, n_max], each validated.
 
-    triples: tuple[AbcTriple, ...]
-    skipped: tuple[tuple[int, str], ...]
-
-
-def mersenne_family(
-    n_max: int, *, budget: int = DEFAULT_RHO_BUDGET
-) -> MersenneFamily:
-    """The family (1, 2^n - 1, 2^n) for n in [2, n_max], each validated."""
+    n_max lies in [2, 63], where factor's default budget splits every
+    2^n - 1, so the family has n_max - 1 triples, in increasing n.
+    """
     if not 2 <= n_max <= 63:
         raise ValueError(f"n_max must lie in [2, 63], got {n_max}")
-    triples = []
-    skipped = []
-    for n in range(2, n_max + 1):
-        try:
-            triples.append(validate_triple(1, 2**n - 1, 2**n, budget=budget))
-        except FactorizationBudgetExceeded as exc:
-            skipped.append((n, str(exc)))
-    return MersenneFamily(tuple(triples), tuple(skipped))
+    return tuple(validate_triple(1, 2**n - 1, 2**n) for n in range(2, n_max + 1))

@@ -255,13 +255,6 @@ def wam_original(f: Factorization) -> float:
     return log_n / log_rad
 
 
-def em_limit(f: Factorization) -> int:
-    """Limit of wam(n, a) as real a -> +inf: the top multiplicity e_m."""
-    if not f.exponents:
-        raise EmptyFactorization("wam is undefined for n = 1")
-    return f.exponents[-1]
-
-
 @dataclass(frozen=True)
 class CrudeEmBound:
     """e_m <= wam(n, 1) * omega(n), with both sides recorded."""

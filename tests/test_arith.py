@@ -26,7 +26,6 @@ from wamlab.arith import (
     factor,
     is_prime,
     mobius,
-    omega,
     radical,
 )
 
@@ -514,7 +513,6 @@ class TestFactorizationType:
         assert f.primes == (2, 3)
         assert f.exponents == (3, 2)
         assert f.value == 72
-        assert omega(f) == 2
         assert big_omega(f) == 5
         assert radical(f) == 6
         assert f.m == 2
@@ -549,13 +547,13 @@ class TestMobius:
 
     def test_sign_matches_omega_on_squarefree(self):
         for n in (2, 3, 6, 10, 15, 30, 105, 210, 2310):
-            assert mobius(n) == (-1) ** omega(factor(n))
+            assert mobius(n) == (-1) ** factor(n).m
 
 
 class TestInvariants:
     @given(factorizations())
     def test_omega_le_big_omega_le_log2(self, f):
-        assert omega(f) <= big_omega(f) <= math.log2(f.value) + 1e-9
+        assert f.m <= big_omega(f) <= math.log2(f.value) + 1e-9
 
     @given(factorizations())
     def test_radical_divides_value(self, f):

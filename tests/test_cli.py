@@ -304,6 +304,18 @@ class TestSharedGeneration:
         assert out == ""
         assert err.startswith("wamlab:") and "1000 triples" in err
 
+    def test_nan_min_quality_is_refused_before_the_sieve(self, monkeypatch, tmp_path):
+        sieved = []
+        sieve = triples._radical_sieve
+        monkeypatch.setattr(triples, "_radical_sieve", lambda n: sieved.append(n) or sieve(n))
+        code, out, err = run(["em-hist", "--gen", "1000", "--min-quality", "nan"])
+        assert (code, out, sieved) == (1, "", [])
+        assert err.startswith("wamlab:") and "min_quality" in err
+        assert "no triples" not in err
+        text = run_file(tmp_path, ["em-hist", "--gen", "1000", "--min-quality", "1.25"])
+        assert sieved == [1000]
+        assert int(meta_lines(text)["triples"]) > 0
+
     def test_generation_over_the_triple_cap_validates_nothing(self, monkeypatch):
         # At q = 0 every coprime pair with c <= 10^4 survives the prefilter,
         # far more than 2^20: the scan stops at the cap, before any pair is

@@ -274,6 +274,15 @@ class TestTailBound:
             with pytest.raises(BelowCritical):
                 wam_upper(factor(30), a)
 
+    def test_infinite_abscissae_keep_their_limits(self):
+        assert wam_upper(factor(72), math.inf) == 2.0
+        with pytest.raises(BelowCritical):
+            wam_upper(factor(30), -math.inf)
+
+    def test_nan_abscissa_is_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            wam_upper(factor(30), math.nan)
+
     def test_single_prime_bound_is_flat(self):
         for a in (-10.0, 0.0, 5.0):
             assert abs(wam_upper(factor(8), a) - 3.0) < 1e-12
@@ -309,6 +318,10 @@ class TestTailBound:
                 np.exp(s * math.log(math.log(p))) for p in f.primes
             )
             assert abs(den) >= gap * (1 - 1e-12)
+
+    def test_gap_refuses_a_nan_abscissa(self):
+        with pytest.raises(ValueError, match="nan"):
+            denominator_gap(factor(30), math.nan)
 
 
 class TestNoPolesBeyondCritical:

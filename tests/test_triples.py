@@ -26,7 +26,7 @@ from wamlab.triples import (
     write_dataset,
 )
 from wamlab import triples as triples_module
-from wamlab.wamcore import ExpSum, WamSums, wam_at
+from wamlab.wamcore import ExpSum, WamSums, mersenne_factorization, wam_at
 from wamlab.zeros import SearchRegion
 
 
@@ -419,24 +419,19 @@ class TestHeatmap:
 class TestMersenneFamily:
     def test_small_family(self):
         family = mersenne_family(11)
-        assert len(family.triples) == 10
-        assert family.skipped == ()
-        first = family.triples[0]
+        assert len(family) == 10
+        first = family[0]
         assert (first.a, first.b, first.c) == (1, 3, 4)
-        eleventh = family.triples[-1]
+        eleventh = family[-1]
         assert (eleventh.a, eleventh.b, eleventh.c) == (1, 2047, 2048)
         assert eleventh.abc_factorization.primes == (2, 23, 89)
 
-    def test_budget_starved_runs_skip_hard_entries(self):
-        family = mersenne_family(47, budget=10)
-        assert len(family.triples) + len(family.skipped) == 46
-        assert family.skipped, "a 10-step budget cannot split every cofactor"
-        for n, reason in family.skipped:
-            assert 2 <= n <= 47
-            assert reason
-        done = {t.c.bit_length() - 1 for t in family.triples}
-        assert 2 in done  # 2^2 - 1 = 3 needs no budget at all
-        assert done.isdisjoint(n for n, _ in family.skipped)
+    def test_default_budget_factors_the_whole_family(self):
+        family = mersenne_family(63)
+        assert len(family) == 62
+        for n, t in enumerate(family, start=2):
+            assert t.c == 2**n
+            assert t.abc_factorization == mersenne_factorization(n)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -445,8 +440,7 @@ class TestMersenneFamily:
             mersenne_family(64)
 
     def test_triples_are_valid_and_quality_matches(self):
-        family = mersenne_family(16)
-        for t in family.triples:
+        for t in mersenne_family(16):
             n = t.c.bit_length() - 1
             assert t.c == 2**n
             assert t.a + t.b == t.c

@@ -13,7 +13,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import factorizations
-from wamlab.arith import Factorization, big_omega, factor, omega, radical
+from wamlab.arith import Factorization, big_omega, factor, radical
 from wamlab import triples, wamcore, zeros
 from wamlab.wamcore import (
     EmptyFactorization,
@@ -21,7 +21,6 @@ from wamlab.wamcore import (
     _product_plan,
     _serial_product,
     crude_em_bound_holds,
-    em_limit,
     evaluate_wam,
     integer_wam_sums,
     mersenne_factorization,
@@ -54,7 +53,7 @@ class TestIdentities:
 
     @given(factorizations(min_m=1, max_m=4))
     def test_s_equal_zero_is_multiplicity_ratio(self, f):
-        expected = big_omega(f) / omega(f)
+        expected = big_omega(f) / f.m
         got = wam_at(f, 0.0).value
         assert got is not None
         assert abs(got - expected) <= 1e-12 * max(1.0, expected)
@@ -125,10 +124,10 @@ class TestLargeRealLimit:
         assert 0 < abs(ev.denominator) <= len(f.primes)
 
     def test_em_limit_helper(self):
-        assert em_limit(factor(72)) == 2
-        assert em_limit(factor(12)) == 1
-        assert em_limit(factor(2048 * 2047)) == 1
-        assert em_limit(factor(7**5)) == 5
+        for n, e_m in ((72, 2), (12, 1), (2048 * 2047, 1), (7**5, 5)):
+            f = factor(n)
+            assert f.e_m == e_m
+            assert abs(wam_at(f, 200.0).value - e_m) < 1e-12
 
 
 class TestPoles:
