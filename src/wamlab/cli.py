@@ -128,17 +128,16 @@ class _Output:
             "log_base": "natural",
         }
         self.header: list[str] | None = None
-        self.rows: list[list] = []
-        self.repeats: dict[int, int] = {}
+        self.rows, self.lines = [], None
         self.scalar = None
         self.scalar_text: str | None = None
 
-    def table(self, header: Sequence[str], rows, repeats: dict[int, int] | None = None):
-        """repeats[i] = j < i says that row i's fields after the first are
-        row j's, so the CSV text of row j's is written again."""
+    def table(self, header: Sequence[str], rows, lines=None):
+        """rows is read once, when written; `lines`, when given, are the
+        rows' CSV text, written in place of rendering rows."""
         self.header = list(header)
-        self.rows = [list(r) for r in rows]
-        self.repeats = repeats or {}
+        self.rows = rows
+        self.lines = lines
 
     def value(self, scalar, text: str | None = None):
         self.scalar = scalar
@@ -157,7 +156,7 @@ class _Output:
             payload = {"meta": self.meta}
             if self.header is not None:
                 payload["columns"] = self.header
-                payload["rows"] = self.rows
+                payload["rows"] = list(self.rows)
             else:
                 payload["value"] = self.scalar
             fh.write(json.dumps(payload) + "\n")
@@ -166,15 +165,8 @@ class _Output:
             fh.write(f"# {key}: {_fmt(val)}\n")
         if self.header is not None:
             fh.write(",".join(map(_cell, self.header)) + "\n")
-            reused = set(self.repeats.values())
-            tails: dict[int, str] = {}
-            for i, row in enumerate(self.rows):
-                if i in self.repeats:
-                    fh.write(_cell(row[0]) + tails.pop(self.repeats[i]) + "\n")
-                    continue
-                line = ",".join(map(_cell, row))
-                if i in reused:
-                    tails[i] = line[len(_cell(row[0])):]
+            lines = self.lines or (",".join(map(_cell, row)) for row in self.rows)
+            for line in lines:
                 fh.write(line + "\n")
         else:
             fh.write(f"{self.scalar_text}\n")
@@ -266,15 +258,20 @@ def _cmd_heatmap(args, out: _Output):
     out.meta["cap"] = args.cap
     out.meta["grid_step"] = args.step
     header = ["im\\re"] + [_fmt(v) for v in grid.re_axis]
-    # Python floats (.tolist()) render through _cell's direct repr branch;
-    # a mirrored row's cells are rendered once, for the row it copies.
-    rows = zip(grid.im_axis.tolist(), grid.cells.tolist())
-    last = grid.im_axis.size - 1
-    out.table(
-        header,
-        [[im] + cells for im, cells in rows],
-        repeats={last - i: i for i in range(grid.mirrored)},
-    )
+    ims, cells, last = grid.im_axis.tolist(), grid.cells, grid.im_axis.size - 1
+
+    def lines():
+        # A mirrored row's cells are rendered once, for the row it copies;
+        # the repr of a list of floats is their reprs joined by ", ".
+        tails = {}
+        for i, im in enumerate(ims):
+            tail = tails.pop(i, None) or repr(cells[i].tolist())[1:-1].replace(", ", ",")
+            if i < grid.mirrored:
+                tails[last - i] = tail
+            yield f"{im!r},{tail}"
+
+    # JSON reads the rows, and CSV the lines; each is built as it is written.
+    out.table(header, map(lambda im, row: [im, *row.tolist()], ims, cells), lines())
 
 
 def _cmd_em_hist(args, out: _Output):

@@ -159,25 +159,13 @@ def _bisect(log_ratios: np.ndarray) -> np.ndarray:
         hi = np.where(above, hi, mid)
 
 
-def denominator_gap(f: Factorization, a: float) -> float:
-    """(ln p_m)^a - sum_{k<m} (ln p_k)^a: positive exactly when a > a_crit.
-
-    This is the triangle-inequality margin keeping f(s) nonzero on the
-    whole vertical line Re(s) = a.  A NaN a raises ValueError.
-    """
-    if math.isnan(a):
-        raise ValueError("the abscissa a must be a number, got nan")
-    terms = [math.log(p) ** a for p in f.primes]
-    return terms[-1] - sum(terms[:-1])
-
-
 def wam_upper(f: Factorization, a: float) -> float:
     """Upper bound for |wam(n, a+ib)| over all b, valid for a > a_crit.
 
-    Bound: sum_k e_k (ln p_k)^a divided by the denominator gap.  Both
-    are divided by (ln p_m)^a, so the bound is finite for every a.  It
-    decreases in a and converges to e_m as a -> +inf; a = +inf gives e_m.
-    A NaN a raises ValueError.
+    Bound: sum_k e_k (ln p_k)^a over the gap (ln p_m)^a - sum_{k<m} (ln p_k)^a,
+    a lower bound on |f(a + ib)|.  Both are divided by (ln p_m)^a, so the
+    bound is finite for every a.  It decreases in a and converges to e_m as
+    a -> +inf; a = +inf gives e_m.  A NaN a raises ValueError.
     """
     if not f.primes:
         raise EmptyFactorization("wam_upper is undefined for n = 1")

@@ -19,12 +19,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .arith import MAX_VALUE, Factorization, _primes_upto, factor
-from .wamcore import _serial_product, integer_wam_sums
+from .wamcore import integer_wam_sums
 from .zeros import SearchRegion, _axis_size
 
 DEFAULT_HEATMAP_CAP = 1e6
-#: Most cells a heatmap may have.  The grid and its temporaries take 48
-#: bytes per cell, so a heatmap at the cap peaks near 260 MB resident.
+#: Most cells a heatmap may have.  Its two tables and running maximum take 40
+#: bytes per computed cell, so a heatmap at the cap peaks 160 MB above the
+#: interpreter (VmHWM), or 112 MB when mirrored rows halve the computed cells.
 _HEATMAP_MAX_CELLS = 1 << 22
 GENERATE_C_MAX_LIMIT = 10**7
 #: Most triples generate_triples may keep.  A kept triple takes about 0.7 KB,
@@ -288,14 +289,14 @@ def max_wam_heatmap(
     """Rasterize log10(max over triples of |wam(abc, s)|), capped.
 
     Cells at poles (or anywhere the ratio exceeds the cap) saturate at
-    log10(cap); the cap is recorded on the grid.  Each triple's grid is one
-    matrix product: numerator and denominator share their rates, so the
-    exp(i im ⊗ r) and shifted re-axis terms of ExpSum.outer are computed
-    once, and the rows weighted by each are stacked against the re terms.
-    |wam| is conjugate symmetric, so when the im axis is symmetric about 0
-    only the rows with im >= 0 are computed and the rest are their exact
-    mirror image.  Over _HEATMAP_MAX_CELLS cells, MemoryError is raised
-    before any axis is built.
+    exactly log10(cap); the cap is recorded on the grid.  Each triple is
+    two ExpSum.grid products, numerator and denominator, into two tables
+    allocated once per heatmap; the largest (Re N^2 + Im N^2) / (Re D^2 +
+    Im D^2) is kept, and its square root is the only modulus taken.  |wam|
+    is conjugate symmetric, so when the im axis is symmetric about 0 only
+    the rows with im >= 0 are computed and the rest are their exact mirror
+    image.  Over _HEATMAP_MAX_CELLS cells, MemoryError is raised before any
+    axis is built.
     """
     if not triples:
         raise ValueError("heatmap needs at least one triple")
@@ -307,29 +308,25 @@ def max_wam_heatmap(
     re_axis = _symmetric_axis(region.re_min, region.re_max, step, n_re)
     im_axis = _symmetric_axis(region.im_min, region.im_max, step, n_im)
     half = im_axis.size // 2 if np.all(im_axis + im_axis[::-1] == 0.0) else 0
-    rows = 1j * im_axis[half:]
-    best = np.zeros((rows.size, re_axis.size))
-    # 0/0 and x/0 ratios are NaN and inf; fmin takes cap over a NaN, and
-    # min(inf, cap) is cap.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    ims, rows = im_axis[half:], im_axis.size - half
+    best = np.zeros((rows, re_axis.size))
+    num, den = np.empty((2, 2 * rows, re_axis.size))
+    # 0/0 and x/0 ratios are NaN and inf, np.maximum keeps both, and the last
+    # fmin takes cap over a NaN.  A squared ratio overflows past 1.3e154, far
+    # beyond the rounding of |D|, so such a cell reads the cap too.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in triples:
             sums = integer_wam_sums(t.abc_factorization)
-            num, den = sums.numerator, sums.denominator
-            im_terms = np.exp(np.multiply.outer(rows, den.rates))
-            re_terms = den.shifted_terms(re_axis)[0].astype(complex)
-            stacked = np.concatenate([im_terms * num.weights, im_terms * den.weights])
-            # numpy sends a 1-row product to gemv, whose bits a 2-row gemm
-            # need not reproduce, so one row per sum stays a product of its own.
-            if rows.size == 1:
-                moduli = np.abs([_serial_product(r, re_terms.T)[0] for r in stacked[:, None]])
-            else:
-                moduli = np.abs(_serial_product(stacked, re_terms.T))
-            ratio = moduli[: rows.size]
-            np.divide(ratio, moduli[rows.size :], out=ratio)
-            np.fmin(ratio, cap, out=ratio)
+            for table, f in ((num, sums.numerator), (den, sums.denominator)):
+                f.grid(ims, re_axis, out=table)
+                np.square(table, out=table)
+                np.add(table[:rows], table[rows:], out=table[:rows])
+            ratio = np.divide(num[:rows], den[:rows], out=num[:rows])
             np.maximum(best, ratio, out=best)
-    best = np.concatenate([best[::-1][:half], best])
-    cells = np.log10(np.maximum(best, 1e-300))
+        np.sqrt(best, out=best)
+        np.fmin(best, cap, out=best)
+    np.log10(np.maximum(best, 1e-300, out=best), out=best)
+    cells = np.concatenate([best[::-1][:half], best]) if half else best
     return HeatmapGrid(re_axis, im_axis, cells, cap, half)
 
 

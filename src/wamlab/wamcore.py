@@ -76,11 +76,13 @@ def _product_plan(m: int, k: int, n: int | None) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _serial_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for a 2-d a and a 1-d or 2-d b, bit for bit, as the row blocks
-    of _product_plan.  Every 2-d product of the library goes through here."""
+    of _product_plan, written into `out` when given.  Every 2-d product of
+    the library goes through here."""
     m, k = a.shape
-    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    if out is None:
+        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
     for rows in _product_plan(m, k, b.shape[1] if b.ndim == 2 else None):
         np.matmul(a[rows], b, out=out[rows])
     return out
@@ -102,7 +104,8 @@ class ExpSum:
     r_k = ln ln p_k), as do their s-derivatives (weights w_k r_k).  The one
     pointwise evaluator is `shifted_terms`: the terms divided by the largest
     term modulus, which cannot overflow and leave ratios of sums on the
-    same rates (wam, f/f', f'/f) unchanged.
+    same rates (wam, f/f', f'/f) unchanged.  The one grid evaluator is
+    `grid`: Re f and Im f over a rectangle, as one real matrix product.
     """
 
     __slots__ = ("weights", "rates")
@@ -129,24 +132,26 @@ class ExpSum:
         vals = flat.reshape(sigma.shape) * np.exp(sigma)
         return complex(vals) if np.ndim(s) == 0 else vals
 
-    def outer(self, u, v):
-        """f(u[i] + v[j]) for 1-d u and v, as one matrix product.
+    def grid(self, y, x, out=None):
+        """[Re f; Im f] at x[j] + i y[i] for real 1-d y and x, as one real
+        matrix product, into `out` when given.
 
-        exp(r(u + v)) = exp(ru) exp(rv), so the table is
-        (exp(u ⊗ r) diag w) @ exp(v ⊗ r)ᵀ: (len u + len v)·m exponentials
-        instead of len u·len v·m.  The v factor is shifted terms, so column
-        j comes divided by exp(max_k r_k Re v_j): with the real parts in v it
-        cannot overflow, and the signs of Re and Im and the ratio of two
-        sums on the same rates are kept.
+        exp(r(x + iy)) = exp(iry) exp(rx), so the table is
+        [w cos(y ⊗ r); w sin(y ⊗ r)] @ exp(r ⊗ x): (len y + len x)·m
+        exponentials instead of len y·len x·m, and half the multiplies of a
+        complex product.  The x factor is shifted terms, so column j comes
+        divided by exp(max_k r_k x_j): it cannot overflow, and the signs of
+        Re and Im and the ratio of two sums on the same rates are kept.
         """
-        u_terms, v_terms = self.factors(u, v)
-        # Both factors complex, so each block is one single-threaded zgemm.
-        return _serial_product(u_terms, v_terms.T)
+        phases = np.multiply.outer(np.asarray(y, dtype=float), self.rates)
+        left = np.concatenate([np.cos(phases), np.sin(phases)]) * self.weights
+        right = self.shifted_terms(np.asarray(x, dtype=float))[0]
+        return _serial_product(left, right.T, out)
 
     def factors(self, u, v):
-        """The factors of outer(u, v), both complex: exp(u ⊗ r) diag w, and
-        the shifted terms of v.  Row i of the first times row j of the second
-        are the terms of f(u[i] + v[j]), shifted as outer shifts them."""
+        """Both complex: exp(u ⊗ r) diag w, and the shifted terms of v.  Row i
+        of the first times row j of the second are the terms of f(u[i] + v[j]),
+        divided by exp(max_k r_k Re v[j])."""
         u_terms = np.exp(np.multiply.outer(np.asarray(u, dtype=complex), self.rates))
         v_terms = self.shifted_terms(np.asarray(v))[0]
         return u_terms * self.weights, v_terms.astype(complex)

@@ -24,8 +24,8 @@ from .wamcore import ExpSum, _serial_product, integer_wam_sums
 #: |N(s)| below this multiple of sum e_k |(ln p_k)^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
 #: Points per block of the seed grid and of the critical-line scan: 2^16
-#: complex values, about 1 MB.  Seed rows up to _SEED_ROW_MAX points wide
-#: are evaluated in bands of two rows.
+#: complex values, or their real and imaginary parts, about 1 MB.  Seed
+#: rows up to _SEED_ROW_MAX points wide are evaluated in bands of two rows.
 _SEED_BLOCK = _PROBE_BLOCK = 1 << 16
 _SEED_ROW_MAX = 1 << 19
 #: Newton stops at |f(z)| < NEWTON_TOL, with |f| in units of the largest
@@ -119,10 +119,10 @@ def _axis_size(lo: float, hi: float, step: float, most: float) -> int:
 def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     """Centers of grid cells where Re f and Im f both change sign.
 
-    The grid is evaluated, and its im axis built, in bands of at most
-    _SEED_BLOCK points, or of two rows where rows are wider than half that;
-    each band starts on the last row of the one before, so no cell loses a
-    corner.  Rows wider than _SEED_ROW_MAX are refused.
+    The grid is evaluated as ExpSum.grid tables, and its im axis built, in
+    bands of at most _SEED_BLOCK points, or of two rows where rows are wider
+    than half that; each band starts on the last row of the one before, so
+    no cell loses a corner.  Rows wider than _SEED_ROW_MAX are refused.
     """
     step = region.grid_step
     n_re = _axis_size(region.re_min, region.re_max, step, _SEED_ROW_MAX)
@@ -131,17 +131,16 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
         raise ValueError("region is smaller than one grid cell")
     re = region.re_min + step * np.arange(n_re)
 
-    def _mixed(positive):
-        sign = np.where(positive, np.int8(1), np.int8(-1))
-        corners = sign[:-1, :-1] + sign[:-1, 1:] + sign[1:, :-1] + sign[1:, 1:]
-        return np.abs(corners) < 4
+    def _mixed(p):  # a cell is mixed unless its four corners agree
+        corner = p[:-1, :-1]
+        return (corner != p[:-1, 1:]) | (corner != p[1:, :-1]) | (corner != p[1:, 1:])
 
     rows = max(2, _SEED_BLOCK // n_re)
     ii, jj = [], []
     for lo in range(0, n_im - 1, rows - 1):
         im = region.im_min + step * np.arange(lo, min(lo + rows, n_im))
-        vals = den.outer(1j * im, re)
-        i, j = np.nonzero(_mixed(vals.real >= 0) & _mixed(vals.imag >= 0))
+        positive = den.grid(im, re) >= 0  # rows of Re f, then of Im f
+        i, j = np.nonzero(_mixed(positive[: im.size]) & _mixed(positive[im.size :]))
         ii.append(i + lo)
         jj.append(j)
     ii, jj = np.concatenate(ii), np.concatenate(jj)
@@ -287,8 +286,9 @@ def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
     |g(z0)| and |g(z1)|, g keeps within a half-plane along the segment and
     the principal argument of g(z1)/g(z0) is its exact turn; every other
     segment is halved (X. Ying and I. N. Katz, Numer. Math. 53, 1988).
-    Segments are tested from a stack, in blocks of at most _SEED_BLOCK
-    terms.  BoundaryZero is raised where |g| is within rounding of 0 on the
+    Segments carry g at their ends, so each point is evaluated once, and
+    are tested from a stack, in blocks of at most _SEED_BLOCK terms.
+    BoundaryZero is raised where |g| is within rounding of 0 on the
     boundary, and MemoryError past _COUNT_MAX_SEGMENTS segments.
     """
     den = integer_wam_sums(f).denominator
@@ -297,32 +297,40 @@ def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
     g = ExpSum(den.weights, den.rates - 0.5 * (den.rates.max() + den.rates.min()))
     slopes, weights, m = np.abs(g.weights * g.rates), np.abs(g.weights), g.rates.size
     rounding, rmax = 8 * np.finfo(float).eps, np.abs(g.rates).max()
-    block = max(1, _SEED_BLOCK // (2 * m))  # segments whose two ends have _SEED_BLOCK terms
-    corners = np.array([complex(region.re_min, region.im_min), complex(region.re_max, region.im_min),
-                        complex(region.re_max, region.im_max), complex(region.re_min, region.im_max)])
-    stack, turn, tested = [(corners, np.roll(corners, -1))], 0.0, 0
+    block = max(1, _SEED_BLOCK // (2 * m))  # segments whose two ends have _SEED_BLOCK term moduli
+
+    def ends(z):
+        """Rows (z, g(z) in units of e^sigma, sigma) for the points z."""
+        terms, sigma = g.shifted_terms(z)
+        return np.stack([z, _serial_product(terms, g.weights), sigma], axis=1)
+
+    box = ends(np.array([complex(region.re_min, region.im_min), complex(region.re_max, region.im_min),
+                         complex(region.re_max, region.im_max), complex(region.re_min, region.im_max)]))
+    stack, turn, tested = [(box, np.roll(box, -1, axis=0))], 0.0, 0
     while stack:
         a, b = stack.pop()
-        if a.size > block:
+        if len(a) > block:
             stack.append((a[block:], b[block:]))
             a, b = a[:block], b[:block]
-        tested += a.size
+        tested += len(a)
         if tested > _COUNT_MAX_SEGMENTS:
             raise MemoryError(f"the winding count tests at most {_COUNT_MAX_SEGMENTS} segments")
-        # Both ends of a segment in the units of the larger of their shifts.
-        terms, sigma = g.shifted_terms(np.concatenate([a, b]))
-        terms *= np.exp(sigma - np.tile(sigma.reshape(2, -1).max(axis=0), 2))[:, None]
-        mods = np.abs(terms)
-        v0, v1 = _serial_product(terms, g.weights).reshape(2, -1)
-        slope = _serial_product(mods.reshape(2, -1, m).max(axis=0), slopes) * np.abs(b - a)
+        # Both ends in the units of the larger of their shifts; the term
+        # moduli e^(r_k Re z) need no complex exponential.
+        (za, ga, sa), (zb, gb, sb) = a.T, b.T
+        top = np.maximum(sa.real, sb.real)
+        v0, v1 = ga * np.exp(sa.real - top), gb * np.exp(sb.real - top)
+        x = np.concatenate([za.real, zb.real])
+        mods = np.exp(np.multiply.outer(x, g.rates) - np.tile(top, 2)[:, None])
+        slope = _serial_product(mods.reshape(2, -1, m).max(axis=0), slopes) * np.abs(zb - za)
         scale = _serial_product(mods, weights).reshape(2, -1).max(axis=0)
-        slack = rounding * (rmax * np.maximum(np.abs(a), np.abs(b)) + m) * scale
+        slack = rounding * (rmax * np.maximum(np.abs(za), np.abs(zb)) + m) * scale
         ok = slope + slack < np.maximum(np.abs(v0), np.abs(v1))
         if np.any(~ok & (slope <= slack)):
             raise BoundaryZero("denominator vanishes on the contour; jitter the rectangle")
         turn += np.angle(v1[ok] * v0[ok].conj()).sum()
         if not ok.all():
-            mid = 0.5 * (a[~ok] + b[~ok])
+            mid = ends(0.5 * (a[~ok, 0] + b[~ok, 0]))
             stack.append((np.concatenate([a[~ok], mid]), np.concatenate([mid, b[~ok]])))
     return round(float(turn) / (2 * math.pi))
 
@@ -353,8 +361,8 @@ def critical_line_probe(
     MemoryError, and an a_crit at which sum_k (ln p_k)^a overflows a double
     raises ValueError, before any sample is taken.
 
-    The scan runs in blocks of at most 2^16 samples, each one ExpSum.outer
-    table of every K-th sample.  |f| has slope at most
+    The scan runs in blocks of at most 2^16 samples, each one product of
+    the ExpSum.factors of every K-th sample.  |f| has slope at most
     L = sum_k |w_k r_k| e^(r_k a - sigma) in the kernel's units, so between
     tabled samples i < j it stays above (|f_i| + |f_j| - L (j - i) step) / 2;
     the samples inside are tabled only where that bound, less the rounding
@@ -409,7 +417,9 @@ def critical_line_probe(
         ks = k * np.flatnonzero(coarse <= cut)
         if fine_min <= cut:
             i, d = np.nonzero(fine <= cut)
-            ks = np.union1d(ks, k * live[i] + d + 1)
+            # No fine sample is a multiple of k, so the two sorted sets are
+            # disjoint and one sort merges them (np.union1d imports numpy.ma).
+            ks = np.sort(np.concatenate([ks, k * live[i] + d + 1]))
         for t in (lo + ks).tolist():
             value = float(np.abs(den(a + 1j * step * t)))
             if value < best:

@@ -284,6 +284,28 @@ class TestHeatmapCommand:
         assert body_lines(text)[1:] == expected
 
 
+    @pytest.mark.parametrize("im,fmt", [("-6:6", "csv"), ("-5:6", "csv"), ("-6:6", "json")])
+    def test_streamed_file_equals_the_rendered_table(self, tmp_path, im, fmt):
+        # The CSV is written row by row from the grid; every byte must be
+        # what rendering the whole table cell by cell with _cell gives (and,
+        # for JSON, what json.dumps gives the same rows).
+        dataset = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "triples_c10000.txt")
+        argv = ["heatmap", "--triples", dataset, "--re", "-6:6", "--im", im, "--step", "0.04"]
+        text = run_file(tmp_path, [*argv, "--format", fmt])
+        lo, hi = map(float, im.split(":"))
+        grid = max_wam_heatmap(list(triples.parse_dataset(dataset)), SearchRegion(-6.0, 6.0, lo, hi, 0.04))
+        assert grid.mirrored == (150 if im == "-6:6" else 0)
+        header = ["im\\re"] + [_fmt(v) for v in grid.re_axis]
+        rows = [[y] + row for y, row in zip(grid.im_axis.tolist(), grid.cells.tolist())]
+        if fmt == "json":
+            meta = json.loads(text)["meta"]
+            assert text == json.dumps({"meta": meta, "columns": header, "rows": rows}) + "\n"
+        else:
+            meta = [line for line in text.splitlines(keepends=True) if line.startswith("# ")]
+            table = [",".join(map(_cell, r)) + "\n" for r in [header, *rows]]
+            assert text == "".join(meta + table)
+
+
 class TestSharedGeneration:
     def test_survey_commands_generate_once_per_source(self, monkeypatch, tmp_path):
         # triple_survey.py runs these three in one process on one --gen set.

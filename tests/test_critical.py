@@ -15,7 +15,6 @@ from wamlab.critical import (
     BelowCritical,
     critical_abscissa,
     critical_abscissae,
-    denominator_gap,
     is_wam_constant,
     wam_upper,
 )
@@ -305,23 +304,6 @@ class TestTailBound:
             ev = wam_at(f, s)
             assert not ev.is_pole
             assert abs(ev.value) <= bound * (1 + 1e-12)
-
-    @given(factorizations(min_m=2, max_m=4))
-    def test_gap_lower_bounds_denominator(self, f):
-        a = critical_abscissa(f).a_crit + 0.3
-        gap = denominator_gap(f, a)
-        assert gap > 0
-        rng = random.Random(11)
-        for _ in range(25):
-            s = complex(a, rng.uniform(0, 100))
-            den = sum(
-                np.exp(s * math.log(math.log(p))) for p in f.primes
-            )
-            assert abs(den) >= gap * (1 - 1e-12)
-
-    def test_gap_refuses_a_nan_abscissa(self):
-        with pytest.raises(ValueError, match="nan"):
-            denominator_gap(factor(30), math.nan)
 
 
 class TestNoPolesBeyondCritical:

@@ -280,23 +280,43 @@ class TestDatasets:
 DATASET = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "triples_c10000.txt")
 
 
+#: Absolute agreement of a log10 cell with the pointwise reference where the
+#: denominator does not cancel.  The real-form grid and the reference round
+#: differently: by at most 4.4e-16 where the condition is at most 10, and by
+#: at most 2 eps times the condition near the poles (the 122-triple dataset
+#: grid and the cap = 1e3 grid below).
+CELL_TOL = 1e-15
+
+
 def two_product_cells(triples, grid):
-    """The cells of grid from two ExpSum.outer products per triple, one for
-    the numerator and one for the denominator: the reference that
-    max_wam_heatmap's single stacked product must match bit for bit."""
-    rows = 1j * grid.im_axis[grid.mirrored :]
-    best = np.zeros((rows.size, grid.re_axis.size))
+    """The reference for the cells of grid, and how ill-conditioned each
+    is, point by point: at every s of the grid, mirrored rows included,
+    each triple's numerator and denominator are two products with the
+    shifted terms of s, as in evaluate_wam, and the largest |N|/|D| over
+    the triples, capped, is the cell.  The condition of a cell is
+    sum_k |terms| / |D| of the triple that attains it."""
+    s = (grid.re_axis[None, :] + 1j * grid.im_axis[:, None]).ravel()
+    best, cond = np.zeros(s.size), np.ones(s.size)
     for t in triples:
         sums = triples_module.integer_wam_sums(t.abc_factorization)
-        num = sums.numerator.outer(rows, grid.re_axis)
-        den = sums.denominator.outer(rows, grid.re_axis)
-        ratio = np.abs(num)
+        terms = sums.denominator.shifted_terms(s)[0]
+        num = np.abs(terms @ sums.numerator.weights)
+        den = np.abs(terms @ sums.denominator.weights)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ratio, np.abs(den), out=ratio)
-        np.fmin(ratio, grid.cap, out=ratio)
-        np.maximum(best, ratio, out=best)
-    best = np.concatenate([best[::-1][: grid.mirrored], best])
-    return np.log10(np.maximum(best, 1e-300))
+            ratio = np.fmin(num / den, grid.cap)
+            cond = np.where(ratio >= best, np.abs(terms) @ np.abs(sums.denominator.weights) / den, cond)
+        best = np.maximum(best, ratio)
+    return np.log10(np.maximum(best, 1e-300)).reshape(grid.cells.shape), cond.reshape(grid.cells.shape)
+
+
+def assert_matches_pointwise(triples, grid):
+    """Every cell within CELL_TOL of the pointwise reference, widened by its
+    condition, and exactly log10(cap) wherever the reference saturates."""
+    expected, cond = two_product_cells(triples, grid)
+    tol = CELL_TOL + 8 * np.finfo(float).eps * cond
+    assert np.all(np.abs(grid.cells - expected) <= tol)
+    saturated = expected == math.log10(grid.cap)
+    assert np.all(grid.cells[saturated] == math.log10(grid.cap))
 
 
 class TestHeatmap:
@@ -307,13 +327,13 @@ class TestHeatmap:
         assert len(triples) == 122
         grid = max_wam_heatmap(triples, SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04))
         assert grid.cells.shape == (301, 301)
-        assert np.array_equal(grid.cells, two_product_cells(triples, grid))
+        assert_matches_pointwise(triples, grid)
 
     def test_saturated_grid_equals_two_products(self):
         triples = generate_triples(2000)
         grid = max_wam_heatmap(triples, self.REGION, cap=1e3)
         assert np.any(grid.cells == 3.0)
-        assert np.array_equal(grid.cells, two_product_cells(triples, grid))
+        assert_matches_pointwise(triples, grid)
 
     @pytest.mark.parametrize(
         "region",
@@ -325,8 +345,8 @@ class TestHeatmap:
         ],
     )
     def test_weighted_denominator_equals_two_products(self, monkeypatch, region):
-        # Numerator and denominator share rates but not weights, so the
-        # stacked rows must carry each sum's own weights.
+        # Numerator and denominator share rates but not weights, so each
+        # table must carry its own sum's weights.
         def sums(f):
             rates = [math.log(math.log(p)) for p in f.primes]
             weights = [0.5 + (i % 3) for i in range(len(rates))]
@@ -335,11 +355,26 @@ class TestHeatmap:
         monkeypatch.setattr(triples_module, "integer_wam_sums", sums)
         triples = generate_triples(500)
         grid = max_wam_heatmap(triples, region)
-        assert np.array_equal(grid.cells, two_product_cells(triples, grid))
+        assert_matches_pointwise(triples, grid)
+
+    def test_huge_cap_keeps_cells_finite_and_saturation_exact(self, monkeypatch):
+        # cap^2 overflows past 1.34e154.  Near the poles of this region the
+        # cells stay finite, below the cap and on the reference; where the
+        # denominator vanishes exactly they read log10(cap) exactly.  A
+        # RuntimeWarning would fail the test.
+        triples = generate_triples(2000)
+        grid = max_wam_heatmap(triples, self.REGION, cap=1e200)
+        assert np.all(np.isfinite(grid.cells)) and np.all(grid.cells <= 200.0)
+        assert grid.cells.max() > 3.0  # the cells that saturate at cap = 1e3
+        assert_matches_pointwise(triples, grid)
+        sums = WamSums(ExpSum([1.0, 2.0], [0.3, -0.4]), ExpSum([0.0, 0.0], [0.3, -0.4]))
+        monkeypatch.setattr(triples_module, "integer_wam_sums", lambda f: sums)
+        grid = max_wam_heatmap([validate_triple(1, 8, 9)], self.REGION, cap=1e200)
+        assert np.all(grid.cells == 200.0)
 
     def test_temporaries_are_freed_per_triple(self):
-        # The stacked product and its moduli take 48 bytes per computed cell
-        # while one triple is processed; none of it may outlive its triple.
+        # The two tables (32 bytes per computed cell) are allocated once per
+        # heatmap, and nothing a triple allocates may outlive it.
         triples = list(parse_dataset(DATASET))
         region = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04)
         tracemalloc.start()

@@ -308,26 +308,33 @@ class TestExpSum:
 
 
 class TestOuterKernel:
-    """ExpSum.outer, the separable kernel behind grids and line scans."""
+    """ExpSum.grid, the separable kernel behind heatmaps and seed grids: a
+    real table [Re f; Im f] from one product of a y factor and an x factor."""
 
     RE = np.linspace(-6.0, 6.0, 25)
     IM = np.linspace(-40.0, 40.0, 33)
 
     def shift(self, es, re):
-        """exp(max_k r_k re), the factor outer divides each column by."""
+        """exp(max_k r_k re), the factor grid divides each column by."""
         return np.exp(np.multiply.outer(re, es.rates).max(axis=1))
+
+    @staticmethod
+    def complex_table(es, im, re):
+        table = es.grid(im, re)
+        assert table.shape == (2 * np.size(im), np.size(re)) and table.dtype == float
+        return table[: np.size(im)] + 1j * table[np.size(im) :]
 
     @given(factorizations(min_m=2))
     def test_rectangle_matches_pointwise(self, f):
         es = integer_wam_sums(f).numerator
-        table = es.outer(1j * self.IM, self.RE) * self.shift(es, self.RE)
+        table = self.complex_table(es, self.IM, self.RE) * self.shift(es, self.RE)
         pointwise = es(self.RE[None, :] + 1j * self.IM[:, None])
         assert np.all(np.abs(table - pointwise) <= 1e-12 * term_scale(es, self.RE))
 
     @given(factorizations(min_m=2))
     def test_shift_keeps_signs(self, f):
         es = integer_wam_sums(f).numerator
-        table = es.outer(1j * self.IM, self.RE)
+        table = self.complex_table(es, self.IM, self.RE)
         pointwise = es(self.RE[None, :] + 1j * self.IM[:, None])
         clear = 1e-9 * term_scale(es, self.RE)
         for part in (np.real, np.imag):
@@ -336,15 +343,22 @@ class TestOuterKernel:
 
     @given(factorizations(min_m=2), st.floats(-2.0, 4.0))
     def test_line_matches_pointwise_to_large_height(self, f, a):
+        # The vertical line a + ib as a one-column grid, and as the critical
+        # line probe tables it: ExpSum.factors of every 64th b times the 64
+        # offsets, both to b = 1e5.
         es = integer_wam_sums(f).numerator
         block, step = 64, 1e5 / 64**2
         heads = block * np.arange(block)
-        table = es.outer(a + 1j * step * heads, 1j * step * np.arange(block))
-        pointwise = es(a + 1j * step * np.arange(block**2))
+        column = self.complex_table(es, step * np.arange(block**2), [a])[:, 0]
+        u_terms, v_terms = es.factors(1j * step * heads, a + 1j * step * np.arange(block))
+        scan = _serial_product(u_terms, v_terms.T).ravel()
+        pointwise = es(a + 1j * step * np.arange(block**2)) * np.exp(-max(es.rates * a))
         # Each path rounds the phase r_k b to within eps |r_k| b / 2, so the
         # two may differ by eps |r_k| b: about 3.4e-11 for p = 97 at b = 1e5.
         floor = 2 * np.finfo(float).eps * np.abs(es.rates).max() * 1e5
-        assert np.all(np.abs(table.ravel() - pointwise) <= floor * term_scale(es, a))
+        scale = term_scale(es, a) * np.exp(-max(es.rates * a))
+        assert np.all(np.abs(column - pointwise) <= floor * scale)
+        assert np.all(np.abs(scan - pointwise) <= floor * scale)
 
     @given(factorizations(min_m=2))
     def test_factors_multiply_to_the_table(self, f):
@@ -352,8 +366,14 @@ class TestOuterKernel:
         u_terms, v_terms = es.factors(1j * self.IM, self.RE)
         assert u_terms.shape == (self.IM.size, es.rates.size) == (self.IM.size, v_terms.shape[1])
         terms = u_terms[:, None, :] * v_terms[None, :, :]
-        table = es.outer(1j * self.IM, self.RE)
+        table = self.complex_table(es, self.IM, self.RE)
         assert np.all(np.abs(terms.sum(axis=2) - table) <= 1e-12 * np.abs(terms).sum(axis=2))
+
+    def test_table_is_written_into_out(self):
+        es = integer_wam_sums(factor(2 * 3**2 * 7 * 11**3)).numerator
+        out = np.full((2 * self.IM.size, self.RE.size), np.nan)
+        assert es.grid(self.IM, self.RE, out=out) is out
+        assert out.tobytes() == es.grid(self.IM, self.RE).tobytes()
 
     @given(factorizations(min_m=2))
     def test_shifted_rectangle_survives_extreme_real_parts(self, f):
@@ -363,8 +383,8 @@ class TestOuterKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             pointwise = sums.denominator(re[None, :] + 1j * self.IM[:, None])
         assert not np.all(np.isfinite(pointwise))
-        num = sums.numerator.outer(1j * self.IM, re)
-        den = sums.denominator.outer(1j * self.IM, re)
+        num = self.complex_table(sums.numerator, self.IM, re)
+        den = self.complex_table(sums.denominator, self.IM, re)
         assert np.all(np.isfinite(num)) and np.all(np.isfinite(den))
         with mpmath.workdps(30):
             for i in range(0, self.IM.size, 8):
@@ -435,7 +455,7 @@ class TestSerialProduct:
         tile = first.stop - first.start
         m = 5 * tile + rest
         a = self.complex_matrix(m, k) * self.RNG.standard_normal(k)
-        # b as ExpSum.outer builds it (Fortran order) and in C order.
+        # b as ExpSum.grid and the probe build it (Fortran order) and in C order.
         self.assert_same_bits(a, self.complex_matrix(n, k).T.astype(complex))
         self.assert_same_bits(a, self.complex_matrix(k, n))
         self.assert_same_bits(np.abs(a), self.RNG.standard_normal((k, n)))

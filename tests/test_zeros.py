@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -293,6 +296,61 @@ class TestSeedBands:
         assert abs(seeds[0] - 6.821234041066631j) < step
 
 
+def complex_seed_points(den, region):
+    """The seeds of _seed_points from complex tables: the product of the
+    ExpSum.factors of 256-row bands, and the signs of their real and
+    imaginary parts tested by summing the four corners' signs."""
+    step = region.grid_step
+    n_re = zeros._axis_size(region.re_min, region.re_max, step, math.inf)
+    n_im = zeros._axis_size(region.im_min, region.im_max, step, math.inf)
+    re = region.re_min + step * np.arange(n_re)
+    seeds = []
+    for lo in range(0, n_im - 1, 255):
+        im = region.im_min + step * np.arange(lo, min(lo + 256, n_im))
+        u_terms, v_terms = den.factors(1j * im, re)
+        table = u_terms @ v_terms.T
+        mixed = []
+        for part in (table.real, table.imag):
+            sign = np.where(part >= 0, 1, -1)
+            mixed.append(np.abs(sign[:-1, :-1] + sign[:-1, 1:] + sign[1:, :-1] + sign[1:, 1:]) < 4)
+        i, j = np.nonzero(mixed[0] & mixed[1])
+        seeds.append((re[j] + 0.5 * step) + 1j * (region.im_min + step * (i + lo) + 0.5 * step))
+    return np.concatenate(seeds)
+
+
+def census_case(n, re_lo, re_hi, im_lo, im_hi):
+    """(f, region) with real edges given relative to a_crit when they are
+    strings ("+1.0" is a_crit + 1)."""
+    f = factor(n)
+    a = critical_abscissa(f).a_crit
+    edge = lambda x: a + float(x) if isinstance(x, str) else x  # noqa: E731
+    return f, SearchRegion(edge(re_lo), edge(re_hi), im_lo, im_hi)
+
+
+#: The rectangles of the perfbench pole census at seed 0 (four triples with
+#: four primes in abc, and the twelve-prime product), and sample 6's
+#: pole_scatter.py rectangle and a taller, wider one.
+SEED_CASES = [
+    (1331 * 4096 * 5427, -1.0, "+1.0", 0.0, 60.0),
+    (1024 * 2187 * 3211, -1.0, "+1.0", 0.0, 60.0),
+    (1 * 6399 * 6400, -1.0, "+1.0", 0.0, 60.0),
+    (11 * 2176 * 2187, -1.0, "+1.0", 0.0, 60.0),
+    (TWELVE_PRIMES.value, "-8.0", "+0.5", 500.0, 1000.0),
+    (SAMPLE_6, -1.0, 7.29, 0.0131, 600.0137),
+    (SAMPLE_6, -10.0, 7.29, 0.0131, 5000.0137),
+]
+
+
+class TestSeedTable:
+    @pytest.mark.parametrize("case", SEED_CASES)
+    def test_real_table_gives_the_complex_tables_seeds(self, case):
+        f, region = census_case(*case)
+        den = integer_wam_sums(f).denominator
+        seeds = _seed_points(den, region)
+        assert seeds.size > 0
+        assert np.array_equal(seeds, complex_seed_points(den, region))
+
+
 KNOWN_COUNTS = [
     (6, SearchRegion(-1.0, 1.0, 5.0, 10.0), 1),
     (6, SearchRegion(-1.0, 1.0, 0.0, 25.0), 2),
@@ -340,6 +398,21 @@ class TestArgumentPrinciple:
         with pytest.raises(BoundaryZero):
             argument_principle_count(factor(6), region)
         assert time.perf_counter() - start < 0.1
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # Segments carry the values at their ends, so a halved segment's
+        # midpoint is evaluated once, not once as the end of each half.
+        points = []
+        shifted_terms = ExpSum.shifted_terms
+
+        def spy(self, s):
+            points.extend(np.ravel(s).tolist())
+            return shifted_terms(self, s)
+
+        monkeypatch.setattr(ExpSum, "shifted_terms", spy)
+        region = SearchRegion(-1.0, 7.29, 0.0131, 600.0137)
+        assert argument_principle_count(factor(SAMPLE_6), region) == 170
+        assert len(points) == len(set(points)) > 1000
 
     def test_segment_cap_raises_memory_error(self, monkeypatch):
         monkeypatch.setattr(zeros, "_COUNT_MAX_SEGMENTS", 100)
@@ -440,6 +513,20 @@ def pointwise_scan(f, b_max, samples):
     vals = np.abs(np.matmul(terms[:, None, :], den.weights)[:, 0] * np.exp(sigma))
     k = int(np.argmin(vals))
     return float(vals[k]), k
+
+
+def test_probe_does_not_import_numpy_ma():
+    # np.union1d imports numpy.ma through np.unique, about 20 ms.
+    script = (
+        "import sys\n"
+        "from wamlab import factor\n"
+        "from wamlab.zeros import critical_line_probe\n"
+        "critical_line_probe(factor(30), 1e4, 200_000)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(zeros.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
 
 
 class TestPrunedCriticalLineScan:
