@@ -409,11 +409,6 @@ def radical(f: Factorization) -> int:
     return math.prod(f.primes)
 
 
-def big_omega(f: Factorization) -> int:
-    """Number of prime factors counted with multiplicity."""
-    return sum(f.exponents)
-
-
 def mobius(n: int) -> int:
     """Moebius function: 0 unless n squarefree, else (-1)^omega."""
     f = factor(n)

@@ -2,7 +2,10 @@
 
 All outputs are deterministic for a fixed argv: ASCII, LF line endings,
 shortest-repr floats, and a '#' metadata header (tool version,
-natural-log contract, caps) on every CSV.  a_crit, wam and the zeros do
+natural-log contract, caps) on every CSV.  Every sum at a point is added
+in one fixed order without BLAS; only heatmap cells (2-d BLAS products) and
+the zeros' Newton starts (a BLAS seed grid) may depend on the OpenBLAS
+kernel (OPENBLAS_CORETYPE).  a_crit, wam and the zeros do
 not depend on the log base, but critical-line's min_abs_f, the absolute
 |sum_k (ln p_k)^s|, scales by (ln b)^(-a_crit) in base b.  mersenne and
 bounds-check take --nmax in [2, 63], the range of mersenne_family.  Exit

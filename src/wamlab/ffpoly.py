@@ -195,10 +195,6 @@ class FpPoly:
 
     # -- constructors --------------------------------------------------
     @classmethod
-    def zero(cls, q: int) -> "FpPoly":
-        return cls(q, ())
-
-    @classmethod
     def one(cls, q: int) -> "FpPoly":
         return cls(q, (1,))
 
@@ -234,10 +230,6 @@ class FpPoly:
         if self.is_zero:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coefficients[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coefficients) and self.coefficients[-1] == 1
 
     def __str__(self) -> str:
         if self.is_zero:

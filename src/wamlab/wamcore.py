@@ -54,22 +54,21 @@ _GEMV_SERIAL = 1 << 12
 _ROW_TILE = 4
 
 
-def _product_plan(m: int, k: int, n: int | None) -> list[slice]:
-    """Row blocks of an (m×k) @ (k×n) product, n None for a 1-d right
-    factor, each of which OpenBLAS runs on one thread while 5·k·n stays
-    below _GEMM_SERIAL (5·k below _GEMV_SERIAL for a gemv).
+def _product_plan(m: int, k: int, n: int) -> list[slice]:
+    """Row blocks of an (m×k) @ (k×n) product, each of which OpenBLAS runs
+    on one thread while 5·k·n stays below _GEMM_SERIAL (5·k below
+    _GEMV_SERIAL for one column).
 
-    numpy sends a product with one row or one column, or a 1-d right
-    factor, to gemv, with the lower bound; a block of 1 row cut from a
-    larger product would move that row from gemm or gemv to another kernel,
-    so no block has 1 row.  A 1-row product is left whole (it threads when
-    k·n >= _GEMV_SERIAL).  Wider products get blocks of 4 or 5 rows, which
-    may thread, with the same bits.
+    numpy sends a product with one row or one column to gemv, with the
+    lower bound; a block of 1 row cut from a larger product would move that
+    row from gemm or gemv to another kernel, so no block has 1 row.  A 1-row
+    product is left whole (it threads when k·n >= _GEMV_SERIAL).  Wider
+    products get blocks of 4 or 5 rows, which may thread, with the same bits.
     """
     if m < 2:
         return [slice(None)]
     k = max(k, 1)
-    most = (_GEMV_SERIAL - 1) // k if n is None or n < 2 else (_GEMM_SERIAL - 1) // (k * n)
+    most = (_GEMV_SERIAL - 1) // k if n < 2 else (_GEMM_SERIAL - 1) // (k * n)
     edges = [*range(0, m, _ROW_TILE * max(1, (most - 1) // _ROW_TILE)), m]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:  # a 1-row rest joins the last
         del edges[-2]
@@ -77,14 +76,25 @@ def _product_plan(m: int, k: int, n: int | None) -> list[slice]:
 
 
 def _serial_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for a 2-d a and a 1-d or 2-d b, bit for bit, as the row blocks
-    of _product_plan, written into `out` when given.  Every 2-d product of
-    the library goes through here."""
+    """a @ b for 2-d a and b, bit for bit, as the row blocks of
+    _product_plan, written into `out` when given.  Every matrix product of
+    the library (the ExpSum grids and the critical-line tables) goes
+    through here; its last bits depend on the BLAS kernel."""
     m, k = a.shape
     if out is None:
-        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
-    for rows in _product_plan(m, k, b.shape[1] if b.ndim == 2 else None):
+        out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    for rows in _product_plan(m, k, b.shape[1]):
         np.matmul(a[rows], b, out=out[rows])
+    return out
+
+
+def _weighted_sum(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] terms[..., k] as m elementwise passes k = 0, ..., m - 1:
+    every sum at points goes through here, and each value gets the same bits
+    whatever the batch around it and whatever BLAS kernel numpy links."""
+    out = terms[..., 0] * weights[0]
+    for k in range(1, len(weights)):
+        out += terms[..., k] * weights[k]
     return out
 
 
@@ -104,8 +114,8 @@ class ExpSum:
     r_k = ln ln p_k), as do their s-derivatives (weights w_k r_k).  The one
     pointwise evaluator is `shifted_terms`: the terms divided by the largest
     term modulus, which cannot overflow and leave ratios of sums on the
-    same rates (wam, f/f', f'/f) unchanged.  The one grid evaluator is
-    `grid`: Re f and Im f over a rectangle, as one real matrix product.
+    same rates (wam, f/f', f'/f) unchanged; `_weighted_sum` adds them.  The
+    one grid evaluator is `grid`: Re f and Im f over a rectangle, one product.
     """
 
     __slots__ = ("weights", "rates")
@@ -128,8 +138,7 @@ class ExpSum:
     def __call__(self, s):
         """f(s) itself, unshifted; it overflows once max_k r_k Re s > 709."""
         terms, sigma = self.shifted_terms(np.asarray(s, dtype=complex))
-        flat = _serial_product(terms.reshape(-1, self.weights.size), self.weights)
-        vals = flat.reshape(sigma.shape) * np.exp(sigma)
+        vals = _weighted_sum(terms, self.weights) * np.exp(sigma)
         return complex(vals) if np.ndim(s) == 0 else vals
 
     def grid(self, y, x, out=None):
@@ -218,12 +227,9 @@ def evaluate_wam(sums: WamSums, s):
     list, one evaluation per point ([] for no points).  Every point is
     checked before any is evaluated."""
     points, is_sequence = _points(s)
-    terms = sums.denominator.shifted_terms(np.array(points, dtype=complex))[0]
-    # One 1-d dot per point, stacked, so that each point gets the bits it
-    # would get alone; a 2-d terms @ weights is a gemv, which need not.
-    rows = terms[:, None, :]  # the numerator's terms too
-    nums = np.matmul(rows, sums.numerator.weights)[:, 0].tolist()
-    dens = np.matmul(rows, sums.denominator.weights)[:, 0].tolist()
+    terms = sums.denominator.shifted_terms(np.array(points, dtype=complex))[0]  # numerator's too
+    nums = _weighted_sum(terms, sums.numerator.weights).tolist()
+    dens = _weighted_sum(terms, sums.denominator.weights).tolist()
     scales = np.abs(terms).sum(axis=1).tolist()
     out = [
         WamEvaluation(z, num, den, None if abs(den) < POLE_RTOL * scale else num / den)

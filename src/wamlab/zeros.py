@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import Factorization
 from .critical import critical_abscissa
-from .wamcore import ExpSum, _serial_product, integer_wam_sums
+from .wamcore import ExpSum, _serial_product, _weighted_sum, integer_wam_sums
 
 #: |N(s)| below this multiple of sum e_k |(ln p_k)^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
@@ -160,14 +160,14 @@ def _newton_polish(den: ExpSum, seeds: np.ndarray):
     for it in range(MAX_NEWTON_ITERS + 1):
         idx = np.nonzero(active)[0]
         terms = den.shifted_terms(z[idx])[0]
-        fz = _serial_product(terms, den.weights)
+        fz = _weighted_sum(terms, den.weights)
         if it:
             small = np.abs(fz) < NEWTON_TOL
             active[idx[small]] = False
             idx, terms, fz = idx[~small], terms[~small], fz[~small]
         if it == MAX_NEWTON_ITERS or not idx.size:
             break
-        dfz = _serial_product(terms, slopes)
+        dfz = _weighted_sum(terms, slopes)
         z[idx] -= np.divide(fz, dfz, out=np.zeros_like(fz), where=np.abs(dfz) > 1e-300)
     converged = ~active
     return z[converged], int(converged.sum()), int(active.sum())
@@ -244,14 +244,14 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     out_of_region = int(inside.size - inside.sum())
     pts = polished[inside]
     terms = den.shifted_terms(pts)[0]  # the numerator's terms too
-    residuals = np.abs(_serial_product(terms, den.weights))
-    num = np.abs(_serial_product(terms, sums.numerator.weights))
-    removable = num < REMOVABLE_RTOL * _serial_product(np.abs(terms), sums.numerator.weights)
+    residuals = np.abs(_weighted_sum(terms, den.weights))
+    num = np.abs(_weighted_sum(terms, sums.numerator.weights))
+    removable = num < REMOVABLE_RTOL * _weighted_sum(np.abs(terms), sums.numerator.weights)
 
     # A converged point lies within its Newton step |f / f'| of its zero,
     # once |f| is widened by its rounding (as in critical_line_probe), so two
     # points of one zero lie within twice the larger step of each other.
-    slope = np.abs(_serial_product(terms, den.weights * den.rates))
+    slope = np.abs(_weighted_sum(terms, den.weights * den.rates))
     rounding = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
     rounding *= np.abs(den.rates).max() * np.abs(pts) + den.rates.size
     newton = np.divide(residuals + rounding, slope, out=np.full(pts.shape, np.inf), where=slope > 0)
@@ -302,7 +302,7 @@ def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
     def ends(z):
         """Rows (z, g(z) in units of e^sigma, sigma) for the points z."""
         terms, sigma = g.shifted_terms(z)
-        return np.stack([z, _serial_product(terms, g.weights), sigma], axis=1)
+        return np.stack([z, _weighted_sum(terms, g.weights), sigma], axis=1)
 
     box = ends(np.array([complex(region.re_min, region.im_min), complex(region.re_max, region.im_min),
                          complex(region.re_max, region.im_max), complex(region.re_min, region.im_max)]))
@@ -322,8 +322,8 @@ def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
         v0, v1 = ga * np.exp(sa.real - top), gb * np.exp(sb.real - top)
         x = np.concatenate([za.real, zb.real])
         mods = np.exp(np.multiply.outer(x, g.rates) - np.tile(top, 2)[:, None])
-        slope = _serial_product(mods.reshape(2, -1, m).max(axis=0), slopes) * np.abs(zb - za)
-        scale = _serial_product(mods, weights).reshape(2, -1).max(axis=0)
+        slope = _weighted_sum(mods.reshape(2, -1, m).max(axis=0), slopes) * np.abs(zb - za)
+        scale = _weighted_sum(mods, weights).reshape(2, -1).max(axis=0)
         slack = rounding * (rmax * np.maximum(np.abs(za), np.abs(zb)) + m) * scale
         ok = slope + slack < np.maximum(np.abs(v0), np.abs(v1))
         if np.any(~ok & (slope <= slack)):
@@ -354,8 +354,8 @@ def critical_line_probe(
     `samples` counts grid intervals, so the b spacing is b_max/samples and
     the minimum is taken over samples+1 points; doubling `samples` (or
     extending b_max at fixed spacing) refines to a superset grid, and every
-    sample is judged by its pointwise value (one-point `ExpSum.__call__`),
-    which is what makes the reported minimum monotone under refinement.
+    sample is judged by its pointwise value (`ExpSum.__call__`, whose bits do
+    not depend on the batch), so the minimum is monotone under refinement.
     Ties go to the smallest b.  Requires m >= 3, where denominator zeros
     genuinely are poles of a nonconstant wam.  More than 2^32 samples raise
     MemoryError, and an a_crit at which sum_k (ln p_k)^a overflows a double
@@ -369,7 +369,8 @@ def critical_line_probe(
     slack, does not exceed the least value seen.  K adapts to the share of
     intervals that survive, and K = 1 is the exhaustive scan.  Every tabled
     sample that kernel rounding could make the minimum is evaluated
-    pointwise, so the result does not depend on the blocks or on K.
+    pointwise, in one call per block, so the result does not depend on the
+    blocks, on K or on the BLAS kernel.
     """
     if len(f.primes) < 3:
         raise ValueError("the critical-line probe requires m >= 3")
@@ -383,10 +384,10 @@ def critical_line_probe(
     den = integer_wam_sums(f).denominator
     step = b_max / samples
     terms, sigma = den.shifted_terms(a)
-    scale = terms @ np.abs(den.weights)  # in the kernel's units
+    scale = _weighted_sum(terms, np.abs(den.weights))  # in the kernel's units
     if not sigma + math.log(scale) < math.log(np.finfo(float).max):  # |f| <= scale e^sigma
         raise ValueError(f"a_crit = {a!r} is too large: |f| on the critical line overflows")
-    lip = terms @ np.abs(den.weights * den.rates)
+    lip = _weighted_sum(terms, np.abs(den.weights * den.rates))
     rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * scale
     unit = math.exp(-sigma)  # from |f| to the kernel's units
     best, best_k = math.inf, 0
@@ -420,10 +421,11 @@ def critical_line_probe(
             # No fine sample is a multiple of k, so the two sorted sets are
             # disjoint and one sort merges them (np.union1d imports numpy.ma).
             ks = np.sort(np.concatenate([ks, k * live[i] + d + 1]))
-        for t in (lo + ks).tolist():
-            value = float(np.abs(den(a + 1j * step * t)))
-            if value < best:
-                best, best_k = value, t
+        if ks.size:
+            values = np.abs(den(a + 1j * step * (lo + ks)))
+            j = int(np.argmin(values))  # ks is sorted: ties go to the smallest b
+            if values[j] < best:
+                best, best_k = float(values[j]), lo + int(ks[j])
         # The surviving share grows 3-5 fold as k doubles, so k settles
         # where 4-30% of the intervals survive.
         if live.size > 0.3 * n:

@@ -235,7 +235,7 @@ def test_criterion_06_pigeonhole_construction():
         "sum": t.a + t.b == t.c,
         "deg_r": pc.r_poly.degree <= 5,
         "ends_irreducible": is_irreducible(t.a) and is_irreducible(t.c),
-        "monic": t.a.is_monic and t.c.is_monic,
+        "monic": t.a.lead == 1 and t.c.lead == 1,
         "revalidates": validate_poly_triple(t.a, t.b, t.c) == t,
         "mason": mason_stothers_check(t).holds,
         "time": elapsed < 30.0,

@@ -22,7 +22,6 @@ from wamlab.arith import (
     MAX_VALUE,
     Factorization,
     FactorizationBudgetExceeded,
-    big_omega,
     factor,
     is_prime,
     mobius,
@@ -513,7 +512,7 @@ class TestFactorizationType:
         assert f.primes == (2, 3)
         assert f.exponents == (3, 2)
         assert f.value == 72
-        assert big_omega(f) == 5
+        assert sum(f.exponents) == 5
         assert radical(f) == 6
         assert f.m == 2
         assert f.e_m == 2
@@ -553,7 +552,7 @@ class TestMobius:
 class TestInvariants:
     @given(factorizations())
     def test_omega_le_big_omega_le_log2(self, f):
-        assert f.m <= big_omega(f) <= math.log2(f.value) + 1e-9
+        assert f.m <= sum(f.exponents) <= math.log2(f.value) + 1e-9
 
     @given(factorizations())
     def test_radical_divides_value(self, f):

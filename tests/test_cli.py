@@ -351,6 +351,16 @@ class TestSharedGeneration:
         assert err.startswith("wamlab:") and f"{1 << 20} triples" in err
 
 
+#: SHA-256 of the Mersenne sweeps' whole output, header included.
+MERSENNE_PINS = [
+    (["bounds-check", "--nmax", "63"], "e8dadac99ea937293fb82238dc61e765d0a6f41d30faa4cb1938be5d2dd1d40c"),
+    (["bounds-check", "--nmax", "63", "--format", "json"], "b2352f16b17f48bffcdc4a74307f3b44e69d143830671d44190e6d3480eae2f7"),
+    (["mersenne", "--nmax", "63"], "8a141233a420a920937c7589e82693c0df5e694e8727325055087c01aa29d310"),
+    (["mersenne", "--nmax", "63", "--format", "json"], "ac59c40fb8c9e72dc8a3d804ad29eb8f8e4b0c8c12ef0be35efb76478e9d6600"),
+]
+MERSENNE_PIN_IDS = ["bounds-check", "bounds-check-json", "mersenne", "mersenne-json"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -387,22 +397,33 @@ class TestDeterminism:
             )
             assert (tmp_path / f"same-{i}.csv").read_bytes() == fresh.read_bytes()
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (["bounds-check", "--nmax", "63"], "bed9ba8d3d32c554d841d4f9b8fc3748abc13399d03b7444ea1914e3744ab7a7"),
-            (["bounds-check", "--nmax", "63", "--format", "json"], "512aefe950d757ceaee1155e4877fc972d12491fd8345ffa2043407515012e15"),
-            (["mersenne", "--nmax", "63"], "da9b1ebd4e66196cb25f0418673ae4a5852806e1e24bc6ee30e7e9b724da9bb3"),
-            (["mersenne", "--nmax", "63", "--format", "json"], "5ac8b2ea8c28cf5949cdcaf02934aececd896354a54a96919e2ebad8d0606c3d"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, digest", MERSENNE_PINS, ids=MERSENNE_PIN_IDS)
     def test_mersenne_sweeps_are_pinned(self, argv, digest):
-        # SHA-256 of the whole output, header included, as wamlab 0.1.0
-        # wrote it with one evaluation per point: evaluating every point of
-        # an n at once moves no bit.
+        # SHA-256 of the whole output, header included.  Each point's sums
+        # are added in one fixed order, so neither the other points of an n
+        # nor the BLAS kernel moves a bit.
         code, out, err = run(argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_sums_at_points_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # The pinned sweeps and a zero search, in a child whose OpenBLAS runs
+        # its Prescott kernels (SSE3 only, so safe on any x86-64).  Where the
+        # variable is ignored the child runs the default kernel, and the
+        # test still holds.
+        zeros = ["zeros", str(13573088 * 349609375 * 363182463), "--re", "-1:7.29", "--im", "0:600"]
+        commands = [argv for argv, _ in MERSENNE_PINS] + [zeros]
+        paths = [str(tmp_path / f"prescott-{i}.txt") for i in range(len(commands))]
+        script = ("import json, sys\nfrom wamlab.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0\n")
+        src = os.path.dirname(os.path.dirname(wamlab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+        argvs = json.dumps([[*argv, "--out", out] for argv, out in zip(commands, paths)])
+        subprocess.run([sys.executable, "-c", script, argvs], env=env, check=True, timeout=120)
+        outputs = [open(out, "rb").read() for out in paths]
+        assert [hashlib.sha256(out).hexdigest() for out in outputs[:-1]] == [d for _, d in MERSENNE_PINS]
+        assert outputs[-1] == run_file(tmp_path, zeros).encode("ascii")
 
     @pytest.mark.parametrize("argv, calls", [(["bounds-check"], 62), (["mersenne"], 62)])
     def test_mersenne_sweeps_evaluate_once_per_n(self, monkeypatch, argv, calls):

@@ -13,7 +13,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import factorizations
-from wamlab.arith import Factorization, big_omega, factor, radical
+from wamlab.arith import Factorization, factor, radical
 from wamlab import triples, wamcore, zeros
 from wamlab.wamcore import (
     EmptyFactorization,
@@ -53,7 +53,7 @@ class TestIdentities:
 
     @given(factorizations(min_m=1, max_m=4))
     def test_s_equal_zero_is_multiplicity_ratio(self, f):
-        expected = big_omega(f) / f.m
+        expected = sum(f.exponents) / f.m
         got = wam_at(f, 0.0).value
         assert got is not None
         assert abs(got - expected) <= 1e-12 * max(1.0, expected)
@@ -210,11 +210,19 @@ POINTS_LEFT_OF_ONE = st.one_of(
 BAD_POINTS = [complex(float("nan"), 0), complex(0, float("nan")), 1.0, complex(1.5, 2), -2e305, 2e305]
 
 
-def one_point_dot(sums, s):
-    """Numerator and denominator at s as two 1-d dots of its shifted terms
-    with the weights: the bits each point of a batch must get."""
+def one_point_sums(sums, s):
+    """Numerator and denominator at s, each its shifted terms times the
+    weights added one at a time from k = 0: the bits each point of a batch
+    must get."""
     terms = sums.denominator.shifted_terms(complex(s))[0]
-    return complex(terms @ sums.numerator.weights), complex(terms @ sums.denominator.weights)
+
+    def added(weights):
+        total = terms[0] * weights[0]
+        for k in range(1, len(weights)):
+            total = total + terms[k] * weights[k]
+        return complex(total)
+
+    return added(sums.numerator.weights), added(sums.denominator.weights)
 
 
 class TestBatchedEvaluation:
@@ -231,7 +239,18 @@ class TestBatchedEvaluation:
             assert ev.s == alone.s == complex(s)
             assert ev.value == alone.value and ev.is_pole == alone.is_pole
             assert ev.numerator == alone.numerator and ev.denominator == alone.denominator
-            assert (ev.numerator, ev.denominator) == one_point_dot(sums, s)
+            assert (ev.numerator, ev.denominator) == one_point_sums(sums, s)
+
+    @given(factorizations(), st.lists(POINTS, min_size=1, max_size=12))
+    @example(factor(6), [complex(-1500, -7), 0.5, complex(-1500, -7), complex(-2000, -7)])
+    def test_exp_sum_values_do_not_depend_on_the_batch(self, f, pts):
+        # The critical-line probe evaluates a block's candidates in one call
+        # and relies on each getting the value it gets alone.
+        den = integer_wam_sums(f).denominator
+        ends = den.rates.min(), den.rates.max()  # f(s) overflows once r_k Re s > 709
+        pts = [complex(s) for s in pts if max(complex(s).real * r for r in ends) < 700]
+        batch = den(np.array(pts, dtype=complex))
+        assert batch.tolist() == [den(s) for s in pts]
 
     def test_the_pole_is_flagged_in_a_batch(self):
         batch = wam_at(factor(72), [0.5, FIRST_TWO_TERM_ZERO, FIRST_TWO_TERM_ZERO + 0.01])
@@ -413,8 +432,8 @@ GEMM_SERIAL, GEMV_SERIAL = 65_536, 4_096
 
 def under_the_bounds(k, rows, cols):
     """Whether OpenBLAS runs a rows×k @ k×cols block on one thread: numpy
-    sends 1-row, 1-column and matrix-vector products to gemv."""
-    if cols is None or cols == 1:
+    sends 1-row and 1-column products to gemv."""
+    if cols == 1:
         return rows * k < GEMV_SERIAL
     if rows == 1:
         return k * cols < GEMV_SERIAL
@@ -438,14 +457,15 @@ class TestSerialProduct:
     @pytest.mark.parametrize("k", [1, 2, 4, 6, 9, 15, 27])
     @pytest.mark.parametrize("rest", [0, 1, 2])
     def test_matrix_vector_matches_matmul(self, k, rest):
+        # One-column products, as the probe's fine table at K = 2 makes.
         # Rows past whole tiles: 0, 1 (joined to the last tile) or 2.
-        first = _product_plan(10**6, k, None)[0]
+        first = _product_plan(10**6, k, 1)[0]
         tile = first.stop - first.start
         for m in (3 * tile + rest, 40 * tile + rest):
             a = self.complex_matrix(m, k)
-            self.assert_same_bits(a, self.RNG.standard_normal(k))
-            self.assert_same_bits(a, self.complex_matrix(k))
-            self.assert_same_bits(np.abs(a), self.RNG.standard_normal(k))
+            self.assert_same_bits(a, self.RNG.standard_normal((k, 1)))
+            self.assert_same_bits(a, self.complex_matrix(k, 1))
+            self.assert_same_bits(np.abs(a), self.RNG.standard_normal((k, 1)))
 
     @pytest.mark.parametrize("k", [1, 2, 4, 6, 9, 15])
     @pytest.mark.parametrize("n", [2, 3, 109, 301, 1025])
@@ -470,14 +490,14 @@ class TestSerialProduct:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_empty_and_single_row_products(self, m):
-        self.assert_same_bits(self.complex_matrix(m, 4), self.RNG.standard_normal(4))
+        self.assert_same_bits(self.complex_matrix(m, 4), self.RNG.standard_normal((4, 1)))
         self.assert_same_bits(self.complex_matrix(m, 4), self.complex_matrix(4, 301))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9, 15, 27, 60, 100])
     def test_every_block_stays_under_the_bounds(self, k):
-        sizes = [None, 1, 2, 3, 166, 301, 1025, 2**15 // k + 1, 2**19]
+        sizes = [1, 2, 3, 166, 301, 1025, 2**15 // k + 1, 2**19]
         for m, n in itertools.product([2, 3, 5, 17, 151, 1024, 4097], sizes):
-            if m * (n or 1) > 2**22:  # the largest grid the library builds
+            if m * n > 2**22:  # the largest grid the library builds
                 continue
             for rows in block_rows(m, k, n):
                 assert rows >= 2, (m, k, n, rows)
@@ -507,18 +527,16 @@ class TestSerialProduct:
         assert blocks
         for a, b in blocks:
             rows, k = a
-            cols = b[1] if len(b) == 2 else None
-            assert under_the_bounds(k, rows, cols), (a, b)
+            assert len(b) == 2, (a, b)  # sums at points never reach BLAS
+            assert under_the_bounds(k, rows, b[1]), (a, b)
 
     def test_no_product_bypasses_the_helper(self):
         # The spy above sees only what reaches np.matmul; an `@` or a dot
-        # elsewhere would bypass it.  Only 1-d dots (stacked ones too) and
-        # integer products (which numpy does not send to BLAS) may stay
-        # outside the helper.
+        # elsewhere would bypass it.  Sums at points are _weighted_sum's
+        # elementwise passes, and integer products (which numpy does not
+        # send to BLAS) may stay outside the helper.
         allowed = {
             ("wamcore", "_serial_product"),
-            ("wamcore", "evaluate_wam"),  # one 1-d dot per point, stacked
-            ("zeros", "critical_line_probe"),  # the 1-d scale dot
             ("ffpoly", "_ModRing.mul"),  # int64 reduction
         }
         found = set()

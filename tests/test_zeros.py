@@ -504,13 +504,17 @@ def probe_cases():
 
 
 def pointwise_scan(f, b_max, samples):
-    """(min |f|, its index) on the probe's grid, each sample one 1-d dot,
-    the bits of a one-point ExpSum call; ties go to the lowest index."""
+    """(min |f|, its index) on the probe's grid, each sample's terms times
+    the weights added one at a time from k = 0, the bits of an ExpSum call;
+    ties go to the lowest index."""
     den = integer_wam_sums(f).denominator
     terms, sigma = den.shifted_terms(
         critical_abscissa(f).a_crit + 1j * (b_max / samples) * np.arange(samples + 1)
     )
-    vals = np.abs(np.matmul(terms[:, None, :], den.weights)[:, 0] * np.exp(sigma))
+    total = terms[:, 0] * den.weights[0]
+    for k in range(1, den.weights.size):
+        total = total + terms[:, k] * den.weights[k]
+    vals = np.abs(total * np.exp(sigma))
     k = int(np.argmin(vals))
     return float(vals[k]), k
 
@@ -550,10 +554,10 @@ class TestPrunedCriticalLineScan:
             return product(a, b)
 
         monkeypatch.setattr(zeros, "_serial_product", counted_product)
-        monkeypatch.setattr(ExpSum, "__call__", lambda es, s: pointwise.append(s) or call(es, s))
+        monkeypatch.setattr(ExpSum, "__call__", lambda es, s: pointwise.append(np.size(s)) or call(es, s))
         critical_line_probe(factor(2 * 3 * 5 * 7), 1e5, 2_000_000)
         assert sum(tabled) < 0.2 * 2_000_000
-        assert len(pointwise) < 8
+        assert sum(pointwise) < 8
 
     def test_peak_memory_is_bounded(self):
         # 2e6 samples in blocks of 2^16: a block's table, its pruned samples
