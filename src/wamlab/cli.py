@@ -1,16 +1,18 @@
 """Command-line surface: every tabular or gridded artifact as CSV or JSON.
 
-All outputs are deterministic for a fixed argv: ASCII, LF line endings,
-shortest-repr floats, and a '#' metadata header (tool version,
-natural-log contract, caps) on every CSV.  Every sum at a point is added
-in one fixed order without BLAS; only heatmap cells (2-d BLAS products) and
-the zeros' Newton starts (a BLAS seed grid) may depend on the OpenBLAS
-kernel (OPENBLAS_CORETYPE).  a_crit, wam and the zeros do
-not depend on the log base, but critical-line's min_abs_f, the absolute
-|sum_k (ln p_k)^s|, scales by (ln b)^(-a_crit) in base b.  mersenne and
-bounds-check take --nmax in [2, 63], the range of mersenne_family.  Exit
-codes: 0 success, 1 validation/usage error or an unusable file path,
-2 exhausted budget or oversized grid.
+Outputs are ASCII, LF line endings, shortest-repr floats, and a '#'
+metadata header (tool version, natural-log contract, caps) on every CSV.
+For a fixed argv every artifact is byte-identical on one OpenBLAS kernel
+and for any OPENBLAS_NUM_THREADS.  wam, bounds-check, mersenne,
+critical-line and sample 6's zeros are byte-identical across the SkylakeX,
+Haswell, Sandybridge and Prescott kernels (OPENBLAS_CORETYPE); heatmap
+cells, 2-d BLAS products, agree across them within 1e-13 in log10 |wam|.
+a_crit, wam and the zeros do not depend on the log base, but
+critical-line's min_abs_f, the absolute |sum_k (ln p_k)^s|, scales by
+(ln b)^(-a_crit) in base b.  mersenne and bounds-check take --nmax in
+[2, wamcore.MERSENNE_N_MAX], the range of mersenne_family.  Exit codes:
+0 success, 1 validation/usage error or an unusable file path, 2 exhausted
+budget or oversized grid.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .triples import (
     mersenne_family,
     parse_dataset,
 )
-from .wamcore import mersenne_lower_bound_check, wam_at
+from .wamcore import MERSENNE_N_MAX, mersenne_lower_bound_check, wam_at
 from .zeros import SearchRegion, critical_line_probe, find_zeros
 
 #: Re(s) grid x Im(s) grid swept by the bounds-check subcommand.
@@ -439,7 +441,7 @@ def _build_parser() -> _Parser:
     add_triple_source(p)
 
     p = add("mersenne", _cmd_mersenne, help="the family (1, 2^n-1, 2^n) + bounds")
-    p.add_argument("--nmax", type=int, default=63)
+    p.add_argument("--nmax", type=int, default=MERSENNE_N_MAX)
     p.add_argument("--s", type=_parse_complex, default=complex(0.5))
 
     p = add("poly-triple", _cmd_poly_triple, help="pigeonhole triple over F_q")
@@ -451,7 +453,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=_parse_complex, default=complex(1.0))
 
     p = add("bounds-check", _cmd_bounds_check, help="inequality sweep for 2^n(2^n-1)")
-    p.add_argument("--nmax", type=int, default=63)
+    p.add_argument("--nmax", type=int, default=MERSENNE_N_MAX)
 
     return parser
 

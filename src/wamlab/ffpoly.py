@@ -260,22 +260,6 @@ class FpPoly:
         p = self.characteristic
         return self._wrap(_lmul(list(self.coefficients), list(other.coefficients), p))
 
-    def __divmod__(self, other: "FpPoly"):
-        self._require_same_field(other)
-        q, r = _ldivmod(
-            list(self.coefficients), list(other.coefficients), self.characteristic
-        )
-        return self._wrap(q), self._wrap(r)
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "FpPoly":
-        return self._wrap(_lmonic(list(self.coefficients), self.characteristic))
-
     def gcd(self, other: "FpPoly") -> "FpPoly":
         self._require_same_field(other)
         return self._wrap(
@@ -284,12 +268,6 @@ class FpPoly:
 
     def derivative(self) -> "FpPoly":
         return self._wrap(_lderiv(list(self.coefficients), self.characteristic))
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * x + c) % self.characteristic
-        return acc
 
     def sort_key(self):
         return (self.degree, self.coefficients)

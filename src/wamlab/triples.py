@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .arith import MAX_VALUE, Factorization, _primes_upto, factor
-from .wamcore import integer_wam_sums
+from .wamcore import MERSENNE_N_MAX, integer_wam_sums
 from .zeros import SearchRegion, _axis_size
 
 DEFAULT_HEATMAP_CAP = 1e6
@@ -333,9 +333,9 @@ def max_wam_heatmap(
 def mersenne_family(n_max: int) -> tuple[AbcTriple, ...]:
     """The triples (1, 2^n - 1, 2^n) for n in [2, n_max], each validated.
 
-    n_max lies in [2, 63], where factor's default budget splits every
-    2^n - 1, so the family has n_max - 1 triples, in increasing n.
+    n_max lies in [2, MERSENNE_N_MAX], so the family has n_max - 1
+    triples, in increasing n.
     """
-    if not 2 <= n_max <= 63:
-        raise ValueError(f"n_max must lie in [2, 63], got {n_max}")
+    if not 2 <= n_max <= MERSENNE_N_MAX:
+        raise ValueError(f"n_max must lie in [2, {MERSENNE_N_MAX}], got {n_max}")
     return tuple(validate_triple(1, 2**n - 1, 2**n) for n in range(2, n_max + 1))

@@ -48,43 +48,31 @@ _S_MAX = 1e305
 #: spin through the Python work that follows such small products.
 _GEMM_SERIAL = 1 << 16
 _GEMV_SERIAL = 1 << 12
-#: Row tiles start at multiples of this, so every row keeps its place in
-#: the kernels' unrolled loops and the tiles give the bits of the whole
-#: product (real gemv rows cut at other places do not).
-_ROW_TILE = 4
-
-
-def _product_plan(m: int, k: int, n: int) -> list[slice]:
-    """Row blocks of an (m×k) @ (k×n) product, each of which OpenBLAS runs
-    on one thread while 5·k·n stays below _GEMM_SERIAL (5·k below
-    _GEMV_SERIAL for one column).
-
-    numpy sends a product with one row or one column to gemv, with the
-    lower bound; a block of 1 row cut from a larger product would move that
-    row from gemm or gemv to another kernel, so no block has 1 row.  A 1-row
-    product is left whole (it threads when k·n >= _GEMV_SERIAL).  Wider
-    products get blocks of 4 or 5 rows, which may thread, with the same bits.
-    """
-    if m < 2:
-        return [slice(None)]
-    k = max(k, 1)
-    most = (_GEMV_SERIAL - 1) // k if n < 2 else (_GEMM_SERIAL - 1) // (k * n)
-    edges = [*range(0, m, _ROW_TILE * max(1, (most - 1) // _ROW_TILE)), m]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:  # a 1-row rest joins the last
-        del edges[-2]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _serial_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for 2-d a and b, bit for bit, as the row blocks of
-    _product_plan, written into `out` when given.  Every matrix product of
-    the library (the ExpSum grids and the critical-line tables) goes
-    through here; its last bits depend on the BLAS kernel."""
+    """a @ b for 2-d a and b, into `out` when given, in row blocks that
+    OpenBLAS runs on one thread: the grids and the critical-line tables.
+
+    A block has the most rows under the bound (_GEMV_SERIAL for one column,
+    _GEMM_SERIAL otherwise) less one, and at least 2, since numpy sends a
+    1-row product to gemv with the lower bound; a 1-row rest joins the block
+    before it.  The result is the same for any OPENBLAS_NUM_THREADS, and
+    within rounding of a @ b on any kernel, not bit for bit: heatmap cells
+    agree across kernels within 1e-13 in log10 |wam|.  Sums at points
+    (_weighted_sum) keep their bytes on every kernel.
+    """
     m, k = a.shape
+    n = b.shape[1]
     if out is None:
-        out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
-    for rows in _product_plan(m, k, b.shape[1]):
-        np.matmul(a[rows], b, out=out[rows])
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    bound = _GEMV_SERIAL if n == 1 else _GEMM_SERIAL
+    rows = max(2, (bound - 1) // max(k * n, 1) - 1)
+    edges = [*range(0, m, rows), m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
 
 
@@ -285,11 +273,16 @@ def crude_em_bound_holds(f: Factorization) -> CrudeEmBound:
     return CrudeEmBound(e_m, w1, len(f.primes), bound, e_m <= bound + 1e-12)
 
 
+#: Largest n of the family m = 2^n (2^n - 1) that the library takes:
+#: factor's default budget splits every 2^n - 1 up to it.
+MERSENNE_N_MAX = 63
+
+
 def mersenne_factorization(n: int) -> Factorization:
-    """Factorization of m = 2^n * (2^n - 1), 2 <= n <= 63, from the cached
-    one of its odd part (mersenne_family factors 2^n - 1 too)."""
-    if not 2 <= n <= 63:
-        raise ValueError(f"n must lie in [2, 63], got {n}")
+    """Factorization of m = 2^n * (2^n - 1), 2 <= n <= MERSENNE_N_MAX, from
+    the cached one of its odd part (mersenne_family factors 2^n - 1 too)."""
+    if not 2 <= n <= MERSENNE_N_MAX:
+        raise ValueError(f"n must lie in [2, {MERSENNE_N_MAX}], got {n}")
     odd = factor(2**n - 1)
     return Factorization(2**n * odd.value, (2, *odd.primes), (n, *odd.exponents))
 
@@ -328,8 +321,8 @@ class MersenneBound:
 def mersenne_lower_bound_check(n: int, s):
     """Check both divergence inequalities at s, one point or a 1-d sequence
     of points (a list of checks then, [] for no points); requires Re(s) < 1
-    and 2 <= n <= 63.  m is factored once, and wam evaluated once, at the
-    points and their distinct real parts."""
+    and 2 <= n <= MERSENNE_N_MAX.  m is factored once, and wam evaluated
+    once, at the points and their distinct real parts."""
     points, is_sequence = _points(s)
     for z in points:
         if z.real >= 1:

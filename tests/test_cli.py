@@ -359,6 +359,10 @@ MERSENNE_PINS = [
     (["mersenne", "--nmax", "63", "--format", "json"], "ac59c40fb8c9e72dc8a3d804ad29eb8f8e4b0c8c12ef0be35efb76478e9d6600"),
 ]
 MERSENNE_PIN_IDS = ["bounds-check", "bounds-check-json", "mersenne", "mersenne-json"]
+#: How far a heatmap cell (log10 |wam|) may move from one OpenBLAS kernel
+#: to another, which adds its m products in another order: about 6 times
+#: the 1.7e-14 that the dataset's 301² heatmap shows.
+HEATMAP_KERNEL_SLACK = 1e-13
 
 
 class TestDeterminism:
@@ -406,24 +410,45 @@ class TestDeterminism:
         assert code == 0, err
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
-    def test_sums_at_points_do_not_depend_on_the_blas_kernel(self, tmp_path):
-        # The pinned sweeps and a zero search, in a child whose OpenBLAS runs
-        # its Prescott kernels (SSE3 only, so safe on any x86-64).  Where the
-        # variable is ignored the child runs the default kernel, and the
-        # test still holds.
-        zeros = ["zeros", str(13573088 * 349609375 * 363182463), "--re", "-1:7.29", "--im", "0:600"]
-        commands = [argv for argv, _ in MERSENNE_PINS] + [zeros]
-        paths = [str(tmp_path / f"prescott-{i}.txt") for i in range(len(commands))]
+    @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Prescott"])
+    def test_sums_at_points_do_not_depend_on_the_blas_kernel(self, tmp_path, kernel):
+        # The pinned sweeps, sample 6's zeros and critical-line table, and the
+        # 301² heatmap of the dataset, in a child whose OpenBLAS runs another
+        # kernel (x86-64 ones, Prescott being SSE3 only).  Where the variable
+        # is ignored the child runs the default kernel, and the test still
+        # holds.  Every sum at a point is added in one fixed order, so all
+        # but the heatmap keep their bytes; heatmap cells are 2-d BLAS
+        # products, whose last bits follow the kernel.
+        sample = str(13573088 * 349609375 * 363182463)
+        dataset = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "triples_c10000.txt")
+        same = [
+            ["zeros", sample, "--re", "-1:7.29", "--im", "0:600"],
+            ["zeros", sample, "--re", "-10:7.29", "--im", "0:5000"],
+            ["critical-line", sample, "--bmax", "1e5"],
+        ]
+        heatmap = ["heatmap", "--triples", dataset, "--re", "-6:6", "--im", "-6:6", "--step", "0.04"]
+        commands = [argv for argv, _ in MERSENNE_PINS] + same + [heatmap]
+        paths = [str(tmp_path / f"{kernel}-{i}.txt") for i in range(len(commands))]
         script = ("import json, sys\nfrom wamlab.cli import main\n"
                   "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0\n")
         src = os.path.dirname(os.path.dirname(wamlab.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
         argvs = json.dumps([[*argv, "--out", out] for argv, out in zip(commands, paths)])
         subprocess.run([sys.executable, "-c", script, argvs], env=env, check=True, timeout=120)
-        outputs = [open(out, "rb").read() for out in paths]
-        assert [hashlib.sha256(out).hexdigest() for out in outputs[:-1]] == [d for _, d in MERSENNE_PINS]
-        assert outputs[-1] == run_file(tmp_path, zeros).encode("ascii")
+        outputs = [open(out, encoding="ascii").read() for out in paths]
+        pinned = outputs[: len(MERSENNE_PINS)]
+        assert [hashlib.sha256(out.encode("ascii")).hexdigest() for out in pinned] == [d for _, d in MERSENNE_PINS]
+        for argv, out in zip(same, outputs[len(MERSENNE_PINS) : -1]):
+            assert out == run_file(tmp_path, argv), argv
+        theirs, ours = outputs[-1], run_file(tmp_path, heatmap)
+        assert meta_lines(theirs) == meta_lines(ours)
+        (axis, *rows), (their_axis, *their_rows) = (csv.reader(body_lines(text)) for text in (ours, theirs))
+        assert their_axis == axis
+        cells = np.array(rows, dtype=float)
+        their_cells = np.array(their_rows, dtype=float)
+        assert np.array_equal(their_cells[:, 0], cells[:, 0])  # the im axis
+        assert np.max(np.abs(their_cells - cells)) <= HEATMAP_KERNEL_SLACK
 
     @pytest.mark.parametrize("argv, calls", [(["bounds-check"], 62), (["mersenne"], 62)])
     def test_mersenne_sweeps_evaluate_once_per_n(self, monkeypatch, argv, calls):
