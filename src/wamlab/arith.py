@@ -310,29 +310,6 @@ class Factorization:
     primes: tuple[int, ...]
     exponents: tuple[int, ...]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Factorization":
-        """Validated constructor from (prime, exponent) pairs.
-
-        >>> Factorization.from_pairs([(3, 2), (2, 3)]).value
-        72
-        """
-        items = sorted(dict(pairs).items())
-        value = 1
-        for p, e in items:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if e < 1:
-                raise ValueError(f"exponent {e} for {p} must be >= 1")
-            value *= p**e
-        if value >= MAX_VALUE:
-            raise ValueError("product exceeds 2^127")
-        return cls(
-            value,
-            tuple(p for p, _ in items),
-            tuple(e for _, e in items),
-        )
-
     @property
     def m(self) -> int:
         """Number of distinct prime factors (omega)."""

@@ -15,9 +15,12 @@ rather than a conjecture.
 
 poly_factor and is_irreducible share one Frobenius-gcd loop, the
 distinct-degree split: is_irreducible is Ben-Or's test, which stops at
-the loop's first part.  Every power modulo a fixed f runs in one numpy
-kernel (_ModRing), which tabulates x^(n+j) mod f; both functions
-therefore raise ValueError above degree MAX_FACTOR_DEGREE = 64.
+the loop's first part.  The loop keeps x^(q^d) modulo its input in one
+ring and takes one gcd per block of degrees [d, 2d).  Every power modulo
+a fixed f runs in one numpy kernel (_ModRing), which tabulates
+x^(n+j) mod f and, where that costs fewer products than square-and-
+multiply, the Frobenius map as x^(iq) mod f; both functions therefore
+raise ValueError above degree MAX_FACTOR_DEGREE = 64.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -142,7 +145,8 @@ class _ModRing:
     a product c = a*b (np.convolve, then mod p) folds back to degree < n as
     (c[:n] + c[n:] @ R) mod p.  int64 bound: every sum in the convolution
     and in the fold is at most n*(p-1)^2 + p < 2^38 for n <= 64, p <= 2^16.
-    R holds n^2 entries, so n > MAX_FACTOR_DEGREE raises ValueError.
+    R holds n^2 entries, so n > MAX_FACTOR_DEGREE raises ValueError.  The
+    Frobenius table Q[i] = x^(ip) mod f is built only on request.
     """
 
     def __init__(self, f: list[int], p: int):
@@ -156,6 +160,7 @@ class _ModRing:
         for j in range(1, n - 1):  # x^(n+j) = x * x^(n+j-1)
             self.R[j, 1:] = self.R[j - 1, :-1]
             self.R[j] = (self.R[j] + self.R[j - 1, -1] * self.R[0]) % p
+        self.Q = None
 
     def residue(self, a: list[int]) -> np.ndarray:
         """a mod f, for a coefficient list of any length."""
@@ -174,6 +179,18 @@ class _ModRing:
             if bit == "1":
                 result = self.mul(result, a)
         return result
+
+    def tabulate_frobenius(self, xq: np.ndarray) -> None:
+        """Q[i] = x^(i p) mod f from xq = x^p mod f, with n - 2 products."""
+        self.Q = np.zeros((self.n, self.n), dtype=np.int64)
+        self.Q[0, 0], self.Q[1] = 1, xq
+        for i in range(2, self.n):
+            self.Q[i] = self.mul(self.Q[i - 1], xq)
+
+    def frobenius(self, a: np.ndarray) -> np.ndarray:
+        """a^p = sum_i a_i x^(i p) over F_p: a @ Q once Q is tabulated (its
+        sums are at most n (p - 1)^2 < 2^38), else square-and-multiply."""
+        return self.pow(a, self.p) if self.Q is None else np.dot(a, self.Q) % self.p
 
 
 def _llist(a: np.ndarray) -> list[int]:
@@ -331,23 +348,46 @@ def _distinct_degree(coeffs: list[int], q: int):
     d = deg f exactly when f is irreducible: a reducible f has an
     irreducible factor of degree d <= deg f / 2, which divides
     gcd(x^(q^d) - x, f) (Ben-Or's test).
+
+    x^(q^d) is kept modulo the input, which the remaining f divides.  Each
+    block of degrees [lo, 2 lo) takes one gcd of f with the product of its
+    x^(q^d) - x, and a gcd per degree only where that gcd has a factor.  The
+    Frobenius table is built after the first step where its n - 2 products
+    cost less than square-and-multiply's c in each of the at most
+    n // 2 - 1 later steps.
     """
     f = list(coeffs)
     ring = _ModRing(f, q)
-    h = ring.residue([0, 1])  # x^(q^d) mod f
-    d = 0
-    while len(f) - 1 > 0:
-        d += 1
-        if 2 * d > len(f) - 1:
+    x = h = ring.residue([0, 1])  # h = x^(q^d) mod the input
+    c = q.bit_length() + bin(q).count("1") - 2  # products in ring.pow(h, q)
+    tabulate = ring.n - 2 < (ring.n // 2 - 1) * c
+    lo = 1
+    while len(f) > 1:
+        if 2 * lo > len(f) - 1:
             yield f, len(f) - 1
             return
-        h = ring.pow(h, q)
-        g = _lgcd(_lsub(_llist(h), [0, 1], q), f, q)
-        if len(g) > 1:
-            yield g, d
-            f = _ldivmod(f, g, q)[0]
-            ring = _ModRing(f, q)
-            h = ring.residue(_llist(h))
+        hi = min(2 * lo - 1, (len(f) - 1) // 2)
+        gaps = []  # x^(q^d) - x for d in [lo, hi]
+        for d in range(lo, hi + 1):
+            if d == 2 and tabulate:
+                ring.tabulate_frobenius(h)
+            h = ring.frobenius(h)
+            gaps.append((h - x) % q)
+        block = _lgcd(_llist(reduce(ring.mul, gaps)), f, q)
+        for d, gap in zip(range(lo, hi + 1), gaps):
+            if len(block) == 1:
+                break
+            if d == hi or len(block) - 1 == d:  # only degree-d factors are left
+                g = block
+            elif len(block) - 1 < 2 * d:  # one irreducible, of degree above d
+                continue
+            else:
+                g = _lgcd(_llist(gap), block, q)
+            if len(g) > 1:
+                yield g, d
+                f = _ldivmod(f, g, q)[0]
+                block = _ldivmod(block, g, q)[0]
+        lo = hi + 1
 
 
 def _seed_from(coeffs: Sequence[int], q: int) -> int:
@@ -434,7 +474,8 @@ def count_irreducibles(q: int, n: int) -> int:
     _check_characteristic(q)
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    if q**n >= 1 << 63:
+    # q^n >= 2^(n (bits(q) - 1)): a huge n is refused before q^n is built
+    if n * (q.bit_length() - 1) >= 63 or q**n >= 1 << 63:
         raise OverflowError(f"q^n = {q}^{n} exceeds 2^63")
     total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
     if total % n:
@@ -558,7 +599,8 @@ def pigeonhole_triple(q: int, n: int) -> PigeonholeConstruction:
         raise PreconditionFailed(
             f"characteristic {q} divides n = {n}; derivatives degenerate"
         )
-    if q**n > ENUMERATION_LIMIT:
+    # q^n >= 2^(n (bits(q) - 1)): a huge n is refused before q^n is built
+    if n * (q.bit_length() - 1) >= ENUMERATION_LIMIT.bit_length() or q**n > ENUMERATION_LIMIT:
         raise EnumerationBudget(f"q^n = {q}^{n} exceeds {ENUMERATION_LIMIT}")
     k = 0
     while q**k < n:

@@ -145,14 +145,6 @@ class ExpSum:
         right = self.shifted_terms(np.asarray(x, dtype=float))[0]
         return _serial_product(left, right.T, out)
 
-    def factors(self, u, v):
-        """Both complex: exp(u ⊗ r) diag w, and the shifted terms of v.  Row i
-        of the first times row j of the second are the terms of f(u[i] + v[j]),
-        divided by exp(max_k r_k Re v[j])."""
-        u_terms = np.exp(np.multiply.outer(np.asarray(u, dtype=complex), self.rates))
-        v_terms = self.shifted_terms(np.asarray(v))[0]
-        return u_terms * self.weights, v_terms.astype(complex)
-
 
 @dataclass(frozen=True)
 class WamSums:

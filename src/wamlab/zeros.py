@@ -362,7 +362,8 @@ def critical_line_probe(
     raises ValueError, before any sample is taken.
 
     The scan runs in blocks of at most 2^16 samples, each one product of
-    the ExpSum.factors of every K-th sample.  |f| has slope at most
+    the weighted terms of every K-th sample and the shifted terms of the
+    offsets.  |f| has slope at most
     L = sum_k |w_k r_k| e^(r_k a - sigma) in the kernel's units, so between
     tabled samples i < j it stays above (|f_i| + |f_j| - L (j - i) step) / 2;
     the samples inside are tabled only where that bound, less the rounding
@@ -397,7 +398,8 @@ def critical_line_probe(
         n = min(_PROBE_BLOCK // k, (samples - lo) // k)  # intervals of k samples
         width = math.isqrt(n) + 1
         heads = lo + k * width * np.arange(-(-(n + 1) // width))
-        u_terms, v_terms = den.factors(1j * step * heads, a + 1j * step * k * np.arange(width))
+        u_terms = den.shifted_terms(1j * step * heads)[0] * den.weights  # sigma = 0 there
+        v_terms = den.shifted_terms(a + 1j * step * k * np.arange(width))[0]
         coarse = np.abs(_serial_product(u_terms, v_terms.T)).ravel()[: n + 1]
         # Kernel and pointwise values differ by the rounding of the phases
         # r_k b and of the sum, by at most slack / 2; `least` bounds the

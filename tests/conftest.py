@@ -61,7 +61,9 @@ def factorizations(draw, min_m=1, max_m=4, max_exp=5):
             e -= 1
         room //= p ** (e - 1)
         pairs.append((p, e))
-    return Factorization.from_pairs(pairs)
+    return Factorization(
+        math.prod(p**e for p, e in pairs), tuple(p for p, _ in pairs), tuple(e for _, e in pairs)
+    )
 
 
 def run_with_blas_threads(threads, args):

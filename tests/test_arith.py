@@ -490,25 +490,9 @@ class TestIsPrime:
 
 
 class TestFactorizationType:
-    def test_from_pairs_sorts(self):
-        f = Factorization.from_pairs([(3, 2), (2, 3)])
-        assert f.pairs() == ((2, 3), (3, 2))
-        assert f.value == 72
-
-    def test_from_pairs_rejects_composite_base(self):
-        with pytest.raises(ValueError):
-            Factorization.from_pairs([(4, 1)])
-
-    def test_from_pairs_rejects_zero_exponent(self):
-        with pytest.raises(ValueError):
-            Factorization.from_pairs([(2, 0)])
-
-    def test_from_pairs_rejects_oversized_product(self):
-        with pytest.raises(ValueError):
-            Factorization.from_pairs([(2, 126), (3, 2)])
-
     def test_accessors(self):
         f = factor(72)
+        assert f.pairs() == ((2, 3), (3, 2))
         assert f.primes == (2, 3)
         assert f.exponents == (3, 2)
         assert f.value == 72
@@ -523,7 +507,7 @@ class TestFactorizationType:
         assert f.e_m == 1
 
     def test_empty_factorization_has_no_e_m(self):
-        empty = Factorization.from_pairs([])
+        empty = Factorization(1, (), ())
         assert empty.m == 0
         with pytest.raises(ValueError):
             empty.e_m

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -436,7 +437,7 @@ class TestDeterminism:
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
         argvs = json.dumps([[*argv, "--out", out] for argv, out in zip(commands, paths)])
         subprocess.run([sys.executable, "-c", script, argvs], env=env, check=True, timeout=120)
-        outputs = [open(out, encoding="ascii").read() for out in paths]
+        outputs = [pathlib.Path(out).read_text(encoding="ascii") for out in paths]
         pinned = outputs[: len(MERSENNE_PINS)]
         assert [hashlib.sha256(out.encode("ascii")).hexdigest() for out in pinned] == [d for _, d in MERSENNE_PINS]
         for argv, out in zip(same, outputs[len(MERSENNE_PINS) : -1]):
@@ -558,6 +559,7 @@ class TestExitCodes:
         [
             ["factor", str(HARD_SEMIPRIME), "--budget", str(HARD_BUDGET)],
             ["poly-triple", "--q", "2", "--n", "27"],
+            ["poly-triple", "--q", "3", "--n", "1000000000000"],  # refused before 3^n
         ],
     )
     def test_resource_failures(self, argv):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import factorizations
 from test_acceptance import SAMPLE_TRIPLES
-from wamlab.arith import Factorization, factor
+from wamlab.arith import factor
 from wamlab.critical import (
     BelowCritical,
     critical_abscissa,
@@ -85,7 +85,7 @@ def scalar_abscissa(f):
 
 
 def squarefree(primes):
-    return Factorization.from_pairs([(p, 1) for p in primes])
+    return factor(math.prod(primes))
 
 
 def mixed_factorizations():
@@ -183,7 +183,7 @@ class TestCriticalAbscissa:
 
     @given(factorizations(min_m=2, max_m=4))
     def test_independent_of_exponents(self, f):
-        squarefree = Factorization.from_pairs([(p, 1) for p in f.primes])
+        squarefree = factor(math.prod(f.primes))
         assert critical_abscissa(f).a_crit == critical_abscissa(squarefree).a_crit
 
     def test_sample_triples_match_mpmath_oracle(self):
@@ -232,7 +232,7 @@ class TestCriticalAbscissa:
             assert a == scalar_abscissa(f)
 
     def test_close_primes_push_the_abscissa_high(self):
-        f = Factorization.from_pairs([(83, 1), (89, 1), (97, 1)])
+        f = factor(83 * 89 * 97)
         a = critical_abscissa(f).a_crit
         assert a > 10
         assert abs(defect(f, a)) < 1e-7

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from wamlab.ffpoly import (
     validate_poly_triple,
 )
 from wamlab.arith import mobius
-from wamlab.ffpoly import _ldivmod, _llist, _lmul, _ModRing
+from wamlab.ffpoly import _distinct_degree, _ldivmod, _lgcd, _llist, _lmul, _lsub, _ModRing
 from wamlab.wamcore import evaluate_wam, wam_sums
 
 FIELD_SIZES = (2, 3, 5, 7, 13)
@@ -76,6 +77,45 @@ def sympy_factors(poly):
 def remainder(a, b):
     """The coefficients of a mod b, both FpPoly over one field."""
     return _ldivmod(a.coefficients, b.coefficients, a.characteristic)[1]
+
+
+def per_degree_split(coeffs, q):
+    """The distinct-degree split one degree at a time, the reference for
+    _distinct_degree: a gcd of x^(q^d) - x with f for every d, and a new
+    ring for f after every factor."""
+    f = list(coeffs)
+    ring = _ModRing(f, q)
+    h = ring.residue([0, 1])  # x^(q^d) mod f
+    d = 0
+    while len(f) - 1 > 0:
+        d += 1
+        if 2 * d > len(f) - 1:
+            yield f, len(f) - 1
+            return
+        h = ring.pow(h, q)
+        g = _lgcd(_lsub(_llist(h), [0, 1], q), f, q)
+        if len(g) > 1:
+            yield g, d
+            f = _ldivmod(f, g, q)[0]
+            ring = _ModRing(f, q)
+            h = ring.residue(_llist(h))
+
+
+def sympy_irreducible(poly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Poly(poly.coefficients[::-1], x, modulus=poly.characteristic).is_irreducible
+
+
+def irreducible_of_degree(rng, q, d, avoid=()):
+    """A seeded random monic irreducible of degree d not in `avoid`; found
+    with is_irreducible, confirmed by sympy."""
+    for _ in range(100 * d):
+        poly = FpPoly(q, tuple(rng.randrange(q) for _ in range(d)) + (1,))
+        if poly not in avoid and is_irreducible(poly):
+            assert sympy_irreducible(poly), str(poly)
+            return poly
+    raise AssertionError(f"no irreducible of degree {d} over F_{q} in {100 * d} draws")
 
 
 def oracle_irreducible(poly):
@@ -305,12 +345,7 @@ class TestIrreducibility:
         # Degrees 9..40: random polynomials, irreducibles g, squares g^2 and
         # products g*h of two distinct irreducibles of one degree, where
         # only the first distinct-degree part can tell.
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
         rng = random.Random(9000 + q)
-
-        def sympy_irreducible(poly):
-            return sympy.Poly(poly.coefficients[::-1], x, modulus=q).is_irreducible
 
         def random_irreducible(d):
             while True:
@@ -326,6 +361,20 @@ class TestIrreducibility:
                 h = random_irreducible(d)
             cases += [g, g * g, FpPoly(q, (rng.randrange(1, q),)) * g * h]
         for poly in cases:
+            assert is_irreducible(poly) == sympy_irreducible(poly), str(poly)
+
+    @pytest.mark.parametrize("q", (2, 3, 65521))
+    def test_matches_sympy_at_degree_64(self, q):
+        rng = random.Random(6400 + q)
+        g = irreducible_of_degree(rng, q, 64)  # confirmed by sympy
+        half = irreducible_of_degree(rng, q, 32)
+        other = irreducible_of_degree(rng, q, 32, avoid=(half,))
+        assert is_irreducible(g)
+        assert not is_irreducible(half * other)
+        assert not is_irreducible(half * half)
+        draws = 1 if q == 65521 else 4  # sympy takes about 0.5 s a test at q = 65521
+        for _ in range(draws):
+            poly = FpPoly(q, tuple(rng.randrange(q) for _ in range(64)) + (rng.randrange(1, q),))
             assert is_irreducible(poly) == sympy_irreducible(poly), str(poly)
 
     def test_non_monic_handled(self):
@@ -365,6 +414,91 @@ class TestModRing:
         assert int(np.convolve(a, a)[n - 1]) == n * (p - 1) ** 2
         assert _llist(ring.mul(a, a)) == _ldivmod(_lmul(top, top, p), f, p)[1]
         assert _llist(ring.pow(a, p**2 + 7)) == schoolbook_powmod(top, p**2 + 7, f, p)
+
+    @pytest.mark.parametrize("q, n", [(2, 40), (3, 17), (5, 8), (7, 9), (65521, 33), (65521, 64)])
+    def test_frobenius_table_matches_pow(self, q, n, monkeypatch):
+        rng = random.Random(q * 1000 + n)
+        f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+        ring = _ModRing(f, q)
+        xq = ring.pow(ring.residue([0, 1]), q)
+        products = []
+        mul = _ModRing.mul
+        monkeypatch.setattr(_ModRing, "mul", lambda self, a, b: products.append(1) or mul(self, a, b))
+        ring.tabulate_frobenius(xq)
+        monkeypatch.undo()
+        assert len(products) == n - 2
+        residues = [ring.residue([rng.randrange(q) for _ in range(n)]) for _ in range(6)]
+        residues.append(ring.residue([q - 1] * n))  # every sum in h @ Q at its largest
+        for h in residues:
+            assert np.array_equal(ring.frobenius(h), ring.pow(h, q))
+
+    def test_frobenius_table_int64_worst_case(self):
+        # deg f = 64 at q = 65521: every entry of h and Q at q - 1 puts
+        # n (q - 1)^2, just under 2^38, in each sum of h @ Q.
+        q, n = 65521, 64
+        ring = _ModRing([q - 1] * (n + 1), q)
+        ring.Q = np.full((n, n), q - 1, dtype=np.int64)
+        h = np.full(n, q - 1, dtype=np.int64)
+        assert np.array_equal(ring.frobenius(h), np.full(n, n * (q - 1) ** 2 % q))
+
+
+class TestDistinctDegree:
+    """The block split yields exactly the per-degree loop's pairs."""
+
+    CASES = [
+        (q, degrees)
+        for q in (2, 3, 5, 7, 65521)
+        for degrees in (
+            (1, 2, 3, 4, 6, 9),  # mixed, every block refined
+            (4, 4, 5, 5, 7),  # equal-degree pairs
+            (3, 3, 8, 8, 8),
+            (6, 6, 9, 11, 14),  # the benchmark's F_2 pattern
+            (4, 4, 7, 8, 10, 12),
+            (5, 9, 13, 17),
+            (1, 15, 16),
+            (2,), (5,), (16,), (23,),  # irreducible inputs
+        )
+    ]
+
+    @staticmethod
+    def product_of(rng, q, degrees):
+        factors = []
+        for d in degrees:
+            factors.append(irreducible_of_degree(rng, q, d, avoid=factors))
+        poly = FpPoly.one(q)
+        for g in factors:
+            poly = poly * g
+        return poly
+
+    @pytest.mark.parametrize("q, degrees", CASES)
+    def test_matches_the_per_degree_loop(self, q, degrees, monkeypatch):
+        rng = random.Random(q + 17 * sum(degrees))
+        poly = self.product_of(rng, q, degrees)
+        tables = []
+        tabulate = _ModRing.tabulate_frobenius
+        monkeypatch.setattr(
+            _ModRing, "tabulate_frobenius", lambda self, xq: tables.append(self.n) or tabulate(self, xq)
+        )
+        coeffs = list(poly.coefficients)
+        pairs = list(_distinct_degree(coeffs, q))
+        assert pairs == list(per_degree_split(coeffs, q))
+        assert sorted(d for g, d in pairs for _ in range((len(g) - 1) // d)) == sorted(degrees)
+        # The table is built once the split gets past degree 1, where its
+        # n - 2 products cost less than squaring's c per later step: never
+        # for q = 2 and 3, and for every q >= 5 from n = 6 on.
+        n, c = poly.degree, {2: 1, 3: 2, 5: 3, 7: 4, 65521: 27}[q]
+        past_degree_1 = n - degrees.count(1) >= 4
+        assert tables == ([n] if past_degree_1 and n - 2 < (n // 2 - 1) * c else [])
+        assert tables or q < 5 or n < 6 or not past_degree_1
+
+    @pytest.mark.parametrize("q", (2, 3, 5, 65521))
+    def test_first_part_of_non_squarefree_inputs(self, q):
+        # is_irreducible reads only the first pair, on any input.
+        rng = random.Random(q)
+        g, h = (irreducible_of_degree(rng, q, d) for d in (3, 7))
+        for poly in (g * g, g * g * h, h * h, FpPoly(q, (q - 1,)) * h * h * g):
+            coeffs = list(poly.coefficients)
+            assert next(_distinct_degree(coeffs, q)) == next(per_degree_split(coeffs, q))
 
 
 class TestCountIrreducibles:
@@ -626,6 +760,25 @@ class TestPigeonhole:
     def test_enumeration_budget(self):
         with pytest.raises(EnumerationBudget):
             pigeonhole_triple(2, 27)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: pigeonhole_triple(2, 40000001), EnumerationBudget),
+            (lambda: pigeonhole_triple(65521, 10**12 + 1), EnumerationBudget),
+            (lambda: count_irreducibles(2, 40000001), OverflowError),
+            (lambda: count_irreducibles(3, 10**12), OverflowError),
+        ],
+    )
+    def test_huge_degrees_are_refused_before_q_to_the_n(self, call, error):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_composite_field_size(self):
         with pytest.raises(ValueError):

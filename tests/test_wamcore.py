@@ -13,7 +13,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import factorizations
-from wamlab.arith import Factorization, factor, radical
+from wamlab.arith import factor, radical
 from wamlab import triples, wamcore, zeros
 from wamlab.wamcore import (
     EmptyFactorization,
@@ -228,7 +228,7 @@ class TestBatchedEvaluation:
     """evaluate_wam over a sequence: each point as it is alone, bit for bit."""
 
     @given(factorizations(), st.lists(POINTS, max_size=12))
-    @example(Factorization.from_pairs([(2, 3), (3, 2)]), [0.5, FIRST_TWO_TERM_ZERO, 0.5])
+    @example(factor(72), [0.5, FIRST_TWO_TERM_ZERO, 0.5])
     def test_each_point_gets_the_bits_it_gets_alone(self, f, pts):
         sums = integer_wam_sums(f)
         batch = evaluate_wam(sums, pts)
@@ -362,13 +362,14 @@ class TestOuterKernel:
     @given(factorizations(min_m=2), st.floats(-2.0, 4.0))
     def test_line_matches_pointwise_to_large_height(self, f, a):
         # The vertical line a + ib as a one-column grid, and as the critical
-        # line probe tables it: ExpSum.factors of every 64th b times the 64
-        # offsets, both to b = 1e5.
+        # line probe tables it: the weighted terms of every 64th b times the
+        # shifted terms of the 64 offsets, both to b = 1e5.
         es = integer_wam_sums(f).numerator
         block, step = 64, 1e5 / 64**2
         heads = block * np.arange(block)
         column = self.complex_table(es, step * np.arange(block**2), [a])[:, 0]
-        u_terms, v_terms = es.factors(1j * step * heads, a + 1j * step * np.arange(block))
+        u_terms = es.shifted_terms(1j * step * heads)[0] * es.weights
+        v_terms = es.shifted_terms(a + 1j * step * np.arange(block))[0]
         scan = _serial_product(u_terms, v_terms.T).ravel()
         pointwise = es(a + 1j * step * np.arange(block**2)) * np.exp(-max(es.rates * a))
         # Each path rounds the phase r_k b to within eps |r_k| b / 2, so the
@@ -381,7 +382,10 @@ class TestOuterKernel:
     @given(factorizations(min_m=2))
     def test_factors_multiply_to_the_table(self, f):
         es = integer_wam_sums(f).numerator
-        u_terms, v_terms = es.factors(1j * self.IM, self.RE)
+        # exp(r (x + iy)) = exp(iry) exp(rx): the weighted terms on the
+        # imaginary axis times the shifted terms on the real one.
+        u_terms = es.shifted_terms(1j * self.IM)[0] * es.weights
+        v_terms = es.shifted_terms(self.RE)[0]
         assert u_terms.shape == (self.IM.size, es.rates.size) == (self.IM.size, v_terms.shape[1])
         terms = u_terms[:, None, :] * v_terms[None, :, :]
         table = self.complex_table(es, self.IM, self.RE)
@@ -554,6 +558,7 @@ class TestSerialProduct:
         allowed = {
             ("wamcore", "_serial_product"),
             ("ffpoly", "_ModRing.mul"),  # int64 reduction
+            ("ffpoly", "_ModRing.frobenius"),  # int64 Frobenius table
         }
         found = set()
         for path in sorted(pathlib.Path(wamcore.__file__).parent.glob("*.py")):

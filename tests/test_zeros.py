@@ -15,7 +15,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import SMALL_PRIMES, factorizations
-from wamlab.arith import Factorization, factor
+from wamlab.arith import factor
 from wamlab import zeros
 from wamlab.critical import critical_abscissa
 from wamlab.triples import generate_triples
@@ -33,11 +33,11 @@ from wamlab.zeros import (
 
 STRIP_TO_50 = SearchRegion(re_min=-1.0, re_max=1.0, im_min=0.0, im_max=50.0)
 #: 53 * 59^2 * 61 * 67^2 * ... * 103^2: twelve primes, terms near 1e65 at a_crit.
-TWELVE_PRIMES = Factorization.from_pairs(
-    [
-        (p, 1 + i % 2)
+TWELVE_PRIMES = factor(
+    math.prod(
+        p ** (1 + i % 2)
         for i, p in enumerate((53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103))
-    ]
+    )
 )
 #: abc of the sample triple (13573088, 349609375, 363182463).
 SAMPLE_6 = 13573088 * 349609375 * 363182463
@@ -145,7 +145,7 @@ class TestTwoPrimeClosedForm:
     def test_matches_formula_for_any_prime_pair(self, p, q, ep, eq):
         if p == q:
             return
-        f = Factorization.from_pairs([(p, ep), (q, eq)])
+        f = factor(p**ep * q**eq)
         search = find_zeros(f, SearchRegion(-1.0, 1.0, 0.0, 30.0))
         expected = two_prime_zeros(min(p, q), max(p, q), 30.0)
         assert len(search.records) == len(expected)
@@ -177,7 +177,7 @@ class TestClassification:
     @given(factorizations(min_m=2, max_m=3, max_exp=1), st.integers(2, 4))
     def test_powers_of_squarefree_are_removable(self, base, k):
         try:
-            powered = Factorization.from_pairs([(p, k) for p in base.primes])
+            powered = factor(math.prod(p**k for p in base.primes))
         except ValueError:
             return  # k-th power exceeded the admissible integer range
         search = find_zeros(powered, SearchRegion(-1.0, 1.0, 0.0, 25.0))
@@ -192,7 +192,7 @@ class TestSearchQuality:
     # alone leaves the absolute |f| near 1e-8.  The residual is relative to
     # the largest term, so it stays small there; the Newton step checks
     # each location on an absolute scale.
-    @example(Factorization.from_pairs([(53, 1), (59, 1), (61, 1), (83, 1)]))
+    @example(factor(53 * 59 * 61 * 83))
     def test_residuals_are_small_and_locations_in_region(self, f):
         a0 = critical_abscissa(f).a_crit
         region = SearchRegion(-1.0, a0 + 1.0, 0.0, 40.0)
@@ -298,7 +298,8 @@ class TestSeedBands:
 
 def complex_seed_points(den, region):
     """The seeds of _seed_points from complex tables: the product of the
-    ExpSum.factors of 256-row bands, and the signs of their real and
+    weighted terms on the imaginary axis and the shifted terms on the real
+    one, in 256-row bands, and the signs of their real and
     imaginary parts tested by summing the four corners' signs."""
     step = region.grid_step
     n_re = zeros._axis_size(region.re_min, region.re_max, step, math.inf)
@@ -307,7 +308,8 @@ def complex_seed_points(den, region):
     seeds = []
     for lo in range(0, n_im - 1, 255):
         im = region.im_min + step * np.arange(lo, min(lo + 256, n_im))
-        u_terms, v_terms = den.factors(1j * im, re)
+        u_terms = den.shifted_terms(1j * im)[0] * den.weights
+        v_terms = den.shifted_terms(re)[0].astype(complex)
         table = u_terms @ v_terms.T
         mixed = []
         for part in (table.real, table.imag):
@@ -368,8 +370,7 @@ class TestArgumentPrinciple:
         for _ in range(12):
             m = rng.choice([2, 3, 4])
             primes = rng.sample(SMALL_PRIMES, m)
-            pairs = [(p, rng.randrange(1, 5)) for p in primes]
-            f = Factorization.from_pairs(pairs)
+            f = factor(math.prod(p ** rng.randrange(1, 5) for p in primes))
             a0 = critical_abscissa(f).a_crit
             region = SearchRegion(-1.0, a0 + 1.0, 0.0, 40.0)
             found = len(find_zeros(f, region).records)
