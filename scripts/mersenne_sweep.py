@@ -11,6 +11,7 @@ import pathlib
 import sys
 
 from wamlab.cli import main as wamlab_main
+from wamlab.wamcore import MERSENNE_N_MAX
 
 
 def run(argv):
@@ -21,7 +22,8 @@ def run(argv):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--nmax", type=int, default=63, help="largest exponent, at most 63")
+    parser.add_argument("--nmax", type=int, default=MERSENNE_N_MAX,
+                        help=f"largest exponent, at most {MERSENNE_N_MAX}")
     parser.add_argument("--s", default="0.5", help="evaluation point, re[,im]")
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()

@@ -26,7 +26,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .arith import FactorizationBudgetExceeded, factor
+from .arith import DEFAULT_RHO_BUDGET, FactorizationBudgetExceeded, factor
 from .critical import critical_abscissa, critical_abscissae
 from .ffpoly import (
     EnumerationBudget,
@@ -35,6 +35,7 @@ from .ffpoly import (
     pigeonhole_triple,
 )
 from .triples import (
+    DEFAULT_HEATMAP_CAP,
     em_histogram,
     generate_triples,
     max_wam_heatmap,
@@ -399,7 +400,7 @@ def _build_parser() -> _Parser:
 
     p = add("factor", _cmd_factor, help="prime factorization of N")
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=10**8,
+    p.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET,
                    help="rho steps plus square-search trials per composite split, "
                         ">= 0; trial division below 2^64 is not counted")
 
@@ -427,7 +428,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--re", type=_parse_range, default=(-6.0, 6.0))
     p.add_argument("--im", type=_parse_range, default=(-6.0, 6.0))
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--cap", type=float, default=1e6)
+    p.add_argument("--cap", type=float, default=DEFAULT_HEATMAP_CAP)
 
     p = add("em-hist", _cmd_em_hist, help="histogram of e_m over a triple set")
     add_triple_source(p)

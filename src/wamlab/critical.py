@@ -58,18 +58,14 @@ def _log_ratios(f: Factorization) -> np.ndarray:
     return np.log(logs[:-1]) - math.log(logs[-1])
 
 
-def _g(log_ratios: np.ndarray, a, weights=None) -> np.ndarray:
-    """sum_{k<m} w_k (ln p_k / ln p_m)^a over the last axis of _log_ratios;
-    w = 1 is the bracketing function g.  For a stack of rows, `a` is a
-    column holding one abscissa per row.
+def _g(log_ratios: np.ndarray, a) -> np.ndarray:
+    """g(a) = sum_{k<m} (ln p_k / ln p_m)^a over the last axis of _log_ratios.
+    For a stack of rows, `a` is a column holding one abscissa per row.
 
     np.add.reduce sums each row pairwise, as np.sum does a single row, so a
     row's value does not depend on the rows stacked with it.
     """
-    terms = np.exp(a * log_ratios)
-    if weights is not None:
-        terms = weights * terms
-    return np.add.reduce(terms, axis=-1)
+    return np.add.reduce(np.exp(a * log_ratios), axis=-1)
 
 
 def is_wam_constant(f: Factorization) -> bool:
@@ -174,7 +170,7 @@ def wam_upper(f: Factorization, a: float) -> float:
     log_ratios = _log_ratios(f)
     with np.errstate(over="ignore"):  # a is arbitrary here
         gap = 1.0 - float(_g(log_ratios, a))
-        tail = float(_g(log_ratios, a, np.array(f.exponents[:-1])))
+        tail = float(np.add.reduce(np.array(f.exponents[:-1]) * np.exp(a * log_ratios)))
     if gap <= 0.0:
         raise BelowCritical(
             f"a = {a} is at or below the critical abscissa (1 - g(a) = {gap})"

@@ -29,7 +29,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -390,13 +389,6 @@ def _distinct_degree(coeffs: list[int], q: int):
         lo = hi + 1
 
 
-def _seed_from(coeffs: Sequence[int], q: int) -> int:
-    acc = q
-    for c in coeffs:
-        acc = (acc * 1000003 + c + 1) & 0xFFFFFFFFFFFFFFFF
-    return acc
-
-
 def _equal_degree(coeffs: list[int], d: int, q: int, rng: random.Random):
     """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
     n = len(coeffs) - 1
@@ -428,7 +420,8 @@ def poly_factor(poly: FpPoly) -> PolyFactorization:
 
     Square-free decomposition (with p-th-root descent for vanishing
     derivatives), then distinct-degree splitting, then randomized
-    equal-degree splitting seeded deterministically from the input.
+    equal-degree splitting.  The factors are sorted, so the split's seed
+    (one constant) decides only how many draws it takes, not the result.
 
     >>> [str(f) for f, e in poly_factor(FpPoly.parse("1,0,1@2")).factors]
     ['1,1@2']
@@ -441,7 +434,7 @@ def poly_factor(poly: FpPoly) -> PolyFactorization:
     unit = poly.lead
     exponents: dict[FpPoly, int] = {}
     if poly.degree >= 1:
-        rng = random.Random(_seed_from(poly.coefficients, q))
+        rng = random.Random(0)
         for part, mult in _squarefree_parts(list(poly.coefficients), q):
             for prod, d in _distinct_degree(part, q):
                 for irr in _equal_degree(prod, d, q, rng):

@@ -28,6 +28,12 @@ REMOVABLE_RTOL = 1e-8
 #: rows up to _SEED_ROW_MAX points wide are evaluated in bands of two rows.
 _SEED_BLOCK = _PROBE_BLOCK = 1 << 16
 _SEED_ROW_MAX = 1 << 19
+#: Most values a seed grid evaluates: 7-23 s at m = 3 to 25 (2-vCPU x86-64).
+_SEED_MAX_VALUES = 1 << 30
+#: Most Newton seeds: 0.4 KB (m = 3) to 1.3 KB (m = 25) each, so at most 0.7 GB.
+_MAX_SEEDS = 1 << 19
+#: The critical-line scan tables every _PROBE_STRIDE-th sample.
+_PROBE_STRIDE = 8
 #: Newton stops at |f(z)| < NEWTON_TOL, with |f| in units of the largest
 #: term modulus max_k |(ln p_k)^z|, as are all magnitudes the search reports.
 NEWTON_TOL = 1e-10
@@ -69,10 +75,10 @@ class SearchRegion:
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
+    def contains(self, z, slack: float = 0.0):  # elementwise for arrays
         return (
-            self.re_min - slack <= z.real <= self.re_max + slack
-            and self.im_min - slack <= z.imag <= self.im_max + slack
+            (self.re_min - slack <= z.real) & (z.real <= self.re_max + slack)
+            & (self.im_min - slack <= z.imag) & (z.imag <= self.im_max + slack)
         )
 
 
@@ -122,25 +128,35 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     The grid is evaluated as ExpSum.grid tables, and its im axis built, in
     bands of at most _SEED_BLOCK points, or of two rows where rows are wider
     than half that; each band starts on the last row of the one before, so
-    no cell loses a corner.  Rows wider than _SEED_ROW_MAX are refused.
+    no cell loses a corner.  A band evaluates its points, the 2m cosines
+    and sines of each row and the m exponentials of each column.  Rows wider
+    than _SEED_ROW_MAX, grids of over _SEED_MAX_VALUES values and over
+    _MAX_SEEDS seeds raise MemoryError.
     """
-    step = region.grid_step
+    step, m = region.grid_step, den.rates.size
     n_re = _axis_size(region.re_min, region.re_max, step, _SEED_ROW_MAX)
     n_im = _axis_size(region.im_min, region.im_max, step, math.inf)
     if n_re < 2 or n_im < 2:
         raise ValueError("region is smaller than one grid cell")
+    rows = max(2, _SEED_BLOCK // n_re)
+    bands = -(-(n_im - 1) // (rows - 1))  # each band after the first repeats one row
+    if (n_im + bands - 1) * (n_re + 2 * m) + bands * n_re * m > _SEED_MAX_VALUES:
+        raise MemoryError(f"a seed grid of {n_re} x {n_im:.4g} points evaluates over "
+                          f"{_SEED_MAX_VALUES} values; search a smaller rectangle")
     re = region.re_min + step * np.arange(n_re)
 
     def _mixed(p):  # a cell is mixed unless its four corners agree
         corner = p[:-1, :-1]
         return (corner != p[:-1, 1:]) | (corner != p[1:, :-1]) | (corner != p[1:, 1:])
 
-    rows = max(2, _SEED_BLOCK // n_re)
-    ii, jj = [], []
+    ii, jj, seeds = [], [], 0
     for lo in range(0, n_im - 1, rows - 1):
         im = region.im_min + step * np.arange(lo, min(lo + rows, n_im))
         positive = den.grid(im, re) >= 0  # rows of Re f, then of Im f
         i, j = np.nonzero(_mixed(positive[: im.size]) & _mixed(positive[im.size :]))
+        seeds += i.size
+        if seeds > _MAX_SEEDS:
+            raise MemoryError(f"the grid seeds over {_MAX_SEEDS} Newton runs; search a smaller rectangle")
         ii.append(i + lo)
         jj.append(j)
     ii, jj = np.concatenate(ii), np.concatenate(jj)
@@ -240,7 +256,7 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     seeds = _seed_points(den, region)
     polished, converged, dropped = _newton_polish(den, seeds)
 
-    inside = np.array([region.contains(z, NEWTON_TOL) for z in polished], dtype=bool)
+    inside = region.contains(polished, NEWTON_TOL)
     out_of_region = int(inside.size - inside.sum())
     pts = polished[inside]
     terms = den.shifted_terms(pts)[0]  # the numerator's terms too
@@ -367,9 +383,10 @@ def critical_line_probe(
     L = sum_k |w_k r_k| e^(r_k a - sigma) in the kernel's units, so between
     tabled samples i < j it stays above (|f_i| + |f_j| - L (j - i) step) / 2;
     the samples inside are tabled only where that bound, less the rounding
-    slack, does not exceed the least value seen.  K adapts to the share of
-    intervals that survive, and K = 1 is the exhaustive scan.  Every tabled
-    sample that kernel rounding could make the minimum is evaluated
+    slack, does not exceed the least value seen.  K is _PROBE_STRIDE, so
+    every interval has the same length, and a tail of k < K samples uses
+    the first k - 1 offsets; K = 1 would be the exhaustive scan.  Every
+    tabled sample that kernel rounding could make the minimum is evaluated
     pointwise, in one call per block, so the result does not depend on the
     blocks, on K or on the BLAS kernel.
     """
@@ -391,10 +408,10 @@ def critical_line_probe(
     lip = _weighted_sum(terms, np.abs(den.weights * den.rates))
     rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * scale
     unit = math.exp(-sigma)  # from |f| to the kernel's units
-    best, best_k = math.inf, 0
-    lo, every, shifts = 0, 8, {}
+    best, best_k, lo = math.inf, 0, 0
+    shifts = np.exp(np.multiply.outer(den.rates, 1j * step * np.arange(1, _PROBE_STRIDE)))
     while lo < samples:
-        k = min(every, samples - lo)
+        k = min(_PROBE_STRIDE, samples - lo)
         n = min(_PROBE_BLOCK // k, (samples - lo) // k)  # intervals of k samples
         width = math.isqrt(n) + 1
         heads = lo + k * width * np.arange(-(-(n + 1) // width))
@@ -410,11 +427,9 @@ def critical_line_probe(
         live = np.flatnonzero(bound - slack <= least)
         fine, fine_min = None, math.inf
         if live.size and k > 1:
-            if k not in shifts:
-                shifts[k] = np.exp(np.multiply.outer(den.rates, 1j * step * np.arange(1, k)))
             row, col = np.divmod(live, width)
             left = np.take(u_terms, row, axis=0) * np.take(v_terms, col, axis=0)
-            fine = np.abs(_serial_product(left, shifts[k]))  # fine[i, d - 1]: sample k live[i] + d
+            fine = np.abs(_serial_product(left, shifts[:, : k - 1]))  # fine[i, d - 1]: sample k live[i] + d
             fine_min = fine.min()
         cut = min(least, fine_min + slack / 2) + slack / 2
         ks = k * np.flatnonzero(coarse <= cut)
@@ -428,11 +443,5 @@ def critical_line_probe(
             j = int(np.argmin(values))  # ks is sorted: ties go to the smallest b
             if values[j] < best:
                 best, best_k = float(values[j]), lo + int(ks[j])
-        # The surviving share grows 3-5 fold as k doubles, so k settles
-        # where 4-30% of the intervals survive.
-        if live.size > 0.3 * n:
-            every = max(1, every // 2)
-        elif live.size < 0.04 * n:
-            every = min(2 * every, _PROBE_BLOCK)
         lo += k * n
     return CriticalLineProbe(a, b_max, samples, best, step * best_k)

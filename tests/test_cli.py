@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import wamlab
-from wamlab import cli, triples, wamcore
+from wamlab import cli, triples, wamcore, zeros
 from conftest import run_with_blas_threads
 from wamlab.arith import _brent_rho, is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
@@ -577,6 +577,7 @@ class TestExitCodes:
             ["critical-line", "30030", "--bmax", "1e300"],
             ["critical-line", "30030", "--bmax", "1e308"],
             ["critical-line", "30030", "--bmax", "10", "--samples", str(10**18)],
+            ["zeros", "30", "--im", "0:1e9", "--step", "0.5"],
         ],
     )
     def test_oversized_grids_are_refused_before_allocation(self, argv):
@@ -626,6 +627,13 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("wamlab:") and "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_zeros_past_the_seed_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(zeros, "_MAX_SEEDS", 10)
+        code, out, err = run(["zeros", "30", "--im", "0:100"])
+        assert code == 2
+        assert err.startswith("wamlab:") and "over 10 Newton runs" in err
+        assert out == ""
 
     def test_usage_failures(self):
         assert run([])[0] == 1

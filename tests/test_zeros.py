@@ -284,6 +284,32 @@ class TestSeedBands:
         assert len(search.records) > 0
         assert peak < 16 * 2**20
 
+    def test_seed_cap_raises_memory_error(self, monkeypatch):
+        region = SearchRegion(-1.0, 7.29, 0.0131, 600.0137)
+        search = find_zeros(factor(SAMPLE_6), region)
+        monkeypatch.setattr(zeros, "_MAX_SEEDS", search.seeds)
+        assert find_zeros(factor(SAMPLE_6), region) == search
+        monkeypatch.setattr(zeros, "_MAX_SEEDS", search.seeds - 1)
+        with pytest.raises(MemoryError, match=f"over {search.seeds - 1} Newton runs"):
+            find_zeros(factor(SAMPLE_6), region)
+
+    @pytest.mark.parametrize("block", [300, 1 << 16])
+    def test_grid_cap_bounds_the_values_evaluated(self, monkeypatch, block):
+        # A band of y rows and x columns evaluates its y x points, 2m
+        # cosines and sines a row and m exponentials a column.
+        den = integer_wam_sums(factor(30)).denominator
+        evaluated, grid = [], ExpSum.grid
+        monkeypatch.setattr(ExpSum, "grid", lambda es, y, x, out=None: evaluated.append(
+            y.size * (x.size + 2 * es.rates.size) + x.size * es.rates.size) or grid(es, y, x, out))
+        monkeypatch.setattr(zeros, "_SEED_BLOCK", block)
+        seeds = _seed_points(den, self.REGION)
+        used = sum(evaluated)
+        monkeypatch.setattr(zeros, "_SEED_MAX_VALUES", used)
+        assert np.array_equal(_seed_points(den, self.REGION), seeds)
+        monkeypatch.setattr(zeros, "_SEED_MAX_VALUES", used - 1)
+        with pytest.raises(MemoryError, match="71 x 801 points"):
+            _seed_points(den, self.REGION)
+
     def test_a_row_of_100000_points_still_seeds(self):
         # Two rows of 100,000 points, one cell high, around the first zero
         # of (ln 2)^s + (ln 3)^s at 6.821234i: wider than one block,
@@ -537,6 +563,18 @@ def test_probe_does_not_import_numpy_ma():
 class TestPrunedCriticalLineScan:
     @pytest.mark.parametrize("n, b_max, samples", probe_cases())
     def test_equals_an_exhaustive_pointwise_scan(self, n, b_max, samples):
+        f = factor(n)
+        probe = critical_line_probe(f, b_max, samples)
+        least, k = pointwise_scan(f, b_max, samples)
+        assert probe.min_abs == least
+        assert probe.argmin_b == b_max / samples * k
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 16, 64])
+    @pytest.mark.parametrize("n, b_max, samples", probe_cases()[::5])
+    def test_any_stride_equals_an_exhaustive_pointwise_scan(self, monkeypatch, stride, n, b_max, samples):
+        # Stride 1 is the exhaustive scan; the others leave tails of fewer
+        # samples than one interval, and 16 and 64 run fewer, longer intervals.
+        monkeypatch.setattr(zeros, "_PROBE_STRIDE", stride)
         f = factor(n)
         probe = critical_line_probe(f, b_max, samples)
         least, k = pointwise_scan(f, b_max, samples)
