@@ -51,11 +51,9 @@ from .triples import (
 from .wamcore import (
     EmptyFactorization,
     WamEvaluation,
-    crude_em_bound_holds,
     mersenne_lower_bound_check,
     wam,
     wam_at,
-    wam_original,
 )
 from .zeros import (
     SearchRegion,
@@ -99,11 +97,9 @@ __all__ = [
     "write_dataset",
     "EmptyFactorization",
     "WamEvaluation",
-    "crude_em_bound_holds",
     "mersenne_lower_bound_check",
     "wam",
     "wam_at",
-    "wam_original",
     "SearchRegion",
     "ZeroRecord",
     "argument_principle_count",

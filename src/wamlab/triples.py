@@ -19,13 +19,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .arith import MAX_VALUE, Factorization, _primes_upto, factor
-from .wamcore import MERSENNE_N_MAX, integer_wam_sums
+from .wamcore import MERSENNE_N_MAX, ExpSum, _serial_product, integer_wam_sums
 from .zeros import SearchRegion, _axis_size
 
 DEFAULT_HEATMAP_CAP = 1e6
-#: Most cells a heatmap may have.  Its two tables and running maximum take 40
-#: bytes per computed cell, so a heatmap at the cap peaks 160 MB above the
-#: interpreter (VmHWM), or 112 MB when mirrored rows halve the computed cells.
+#: Most cells a heatmap may have.  Its [Re; Im] table, group maximum and running
+#: maximum take 32 bytes per computed cell, so a heatmap at the cap peaks 128 MB
+#: above the interpreter (VmHWM), or 96 MB when mirrored rows halve them.
 _HEATMAP_MAX_CELLS = 1 << 22
 GENERATE_C_MAX_LIMIT = 10**7
 #: Most triples generate_triples may keep.  A kept triple takes about 0.7 KB,
@@ -156,10 +156,19 @@ def write_dataset(path: str | os.PathLike, triples: Iterable[AbcTriple]) -> None
 
 
 def _radical_sieve(limit: int) -> np.ndarray:
-    """rad(x) for x in [0, limit] (rad(0) := 1), as int32."""
+    """rad(x) for x in [0, limit] (rad(0) := 1), as int32: the primes up to
+    sqrt(limit) are sieved and divided out, and the cofactor left, 1 or the
+    one prime factor above sqrt(limit), is multiplied in."""
     rad = np.ones(limit + 1, dtype=np.int32)
-    for p in _primes_upto(limit):
+    rest = np.arange(limit + 1, dtype=np.int32)
+    rest[0] = 1
+    for p in _primes_upto(math.isqrt(limit)):
         rad[p::p] *= p
+        q = p
+        while q <= limit:
+            rest[q::q] //= p
+            q *= p
+    rad *= rest
     return rad
 
 
@@ -177,8 +186,8 @@ def generate_triples(c_max: int, min_quality: float = 1.0) -> list[AbcTriple]:
     that cap is the budget, and every coprime pair is scanned.  Candidates
     of many c are prefiltered together by approximate quality, and
     survivors are validated exactly.  Radicals and indices are int32 and
-    the scan runs on blocks of c: about 1.5 s and 51 MB peak RSS at
-    c_max = 10^6, and 15 s and 195 MB at 10^7 (2-vCPU x86-64, q = 1).
+    the scan runs on blocks of c: about 0.7 s and 49 MB peak RSS at
+    c_max = 10^6, and 10.4 s and 182 MB at 10^7 (2-vCPU x86-64, q = 1).
 
     MemoryError is raised, before any candidate is validated, if more than
     _GENERATE_MAX_TRIPLES survive the prefilter.  The last
@@ -289,14 +298,15 @@ def max_wam_heatmap(
     """Rasterize log10(max over triples of |wam(abc, s)|), capped.
 
     Cells at poles (or anywhere the ratio exceeds the cap) saturate at
-    exactly log10(cap); the cap is recorded on the grid.  Each triple is
-    two ExpSum.grid products, numerator and denominator, into two tables
-    allocated once per heatmap; the largest (Re N^2 + Im N^2) / (Re D^2 +
-    Im D^2) is kept, and its square root is the only modulus taken.  |wam|
-    is conjugate symmetric, so when the im axis is symmetric about 0 only
-    the rows with im >= 0 are computed and the rest are their exact mirror
-    image.  Over _HEATMAP_MAX_CELLS cells, MemoryError is raised before any
-    axis is built.
+    exactly log10(cap); the cap is recorded on the grid.  Triples are
+    grouped by denominator sum (abc with the same primes share one).  A
+    group takes one ExpSum.grid_factors, one product for |D|^2 = Re D^2 +
+    Im D^2 and one per triple for |N|^2, all into one table, and divides
+    its largest |N|^2 by |D|^2 once: division is monotone, so that is the
+    largest ratio bit for bit.  Its square root is the only modulus taken.
+    |wam| is conjugate symmetric, so when the im axis is symmetric about 0
+    only the rows with im >= 0 are computed and the rest mirror them.  Over
+    _HEATMAP_MAX_CELLS cells, MemoryError is raised before any axis is built.
     """
     if not triples:
         raise ValueError("heatmap needs at least one triple")
@@ -309,20 +319,31 @@ def max_wam_heatmap(
     im_axis = _symmetric_axis(region.im_min, region.im_max, step, n_im)
     half = im_axis.size // 2 if np.all(im_axis + im_axis[::-1] == 0.0) else 0
     ims, rows = im_axis[half:], im_axis.size - half
-    best = np.zeros((rows, re_axis.size))
-    num, den = np.empty((2, 2 * rows, re_axis.size))
+    groups: dict[bytes, tuple[ExpSum, list[ExpSum]]] = {}
+    for t in triples:
+        sums = integer_wam_sums(t.abc_factorization)  # both sums on the same rates
+        den = sums.denominator
+        key = den.rates.tobytes() + den.weights.tobytes()
+        groups.setdefault(key, (den, []))[1].append(sums.numerator)
+    table = np.empty((2 * rows, re_axis.size))
+    best, top = np.zeros((2, rows, re_axis.size))
+
+    def squared_modulus(f: ExpSum, factors, out: np.ndarray) -> np.ndarray:
+        _serial_product(factors[0] * f.weights, factors[1], out=table)
+        np.square(table, out=table)
+        return np.add(table[:rows], table[rows:], out=out)
+
     # 0/0 and x/0 ratios are NaN and inf, np.maximum keeps both, and the last
     # fmin takes cap over a NaN.  A squared ratio overflows past 1.3e154, far
     # beyond the rounding of |D|, so such a cell reads the cap too.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for t in triples:
-            sums = integer_wam_sums(t.abc_factorization)
-            for table, f in ((num, sums.numerator), (den, sums.denominator)):
-                f.grid(ims, re_axis, out=table)
-                np.square(table, out=table)
-                np.add(table[:rows], table[rows:], out=table[:rows])
-            ratio = np.divide(num[:rows], den[:rows], out=num[:rows])
-            np.maximum(best, ratio, out=best)
+        for den, (first, *rest) in groups.values():
+            factors = den.grid_factors(ims, re_axis)
+            squared_modulus(first, factors, top)
+            for f in rest:
+                np.maximum(top, squared_modulus(f, factors, table[:rows]), out=top)
+            np.divide(top, squared_modulus(den, factors, table[:rows]), out=top)
+            np.maximum(best, top, out=best)
         np.sqrt(best, out=best)
         np.fmin(best, cap, out=best)
     np.log10(np.maximum(best, 1e-300, out=best), out=best)

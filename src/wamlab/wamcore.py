@@ -129,6 +129,13 @@ class ExpSum:
         vals = _weighted_sum(terms, self.weights) * np.exp(sigma)
         return complex(vals) if np.ndim(s) == 0 else vals
 
+    def grid_factors(self, y, x):
+        """The factors of `grid` without the weights, which every sum on these
+        rates shares: [cos(y ⊗ r); sin(y ⊗ r)] and exp(r ⊗ x - max_k r_k x)."""
+        phases = np.multiply.outer(np.asarray(y, dtype=float), self.rates)
+        right = self.shifted_terms(np.asarray(x, dtype=float))[0]
+        return np.concatenate([np.cos(phases), np.sin(phases)]), right.T
+
     def grid(self, y, x, out=None):
         """[Re f; Im f] at x[j] + i y[i] for real 1-d y and x, as one real
         matrix product, into `out` when given.
@@ -140,10 +147,8 @@ class ExpSum:
         divided by exp(max_k r_k x_j): it cannot overflow, and the signs of
         Re and Im and the ratio of two sums on the same rates are kept.
         """
-        phases = np.multiply.outer(np.asarray(y, dtype=float), self.rates)
-        left = np.concatenate([np.cos(phases), np.sin(phases)]) * self.weights
-        right = self.shifted_terms(np.asarray(x, dtype=float))[0]
-        return _serial_product(left, right.T, out)
+        phases, columns = self.grid_factors(y, x)
+        return _serial_product(phases * self.weights, columns, out)
 
 
 @dataclass(frozen=True)
@@ -235,34 +240,6 @@ def wam(n: int, s: complex) -> WamEvaluation:
     if n <= 1:
         raise EmptyFactorization(f"wam is undefined for n = {n}")
     return wam_at(factor(n), s)
-
-
-def wam_original(f: Factorization) -> float:
-    """The s = 1 value in closed form: ln(n) / ln(rad n)."""
-    if not f.primes:
-        raise EmptyFactorization("wam is undefined for n = 1")
-    log_n = sum(e * math.log(p) for p, e in f.pairs())
-    log_rad = sum(math.log(p) for p in f.primes)
-    return log_n / log_rad
-
-
-@dataclass(frozen=True)
-class CrudeEmBound:
-    """e_m <= wam(n, 1) * omega(n), with both sides recorded."""
-
-    e_m: int
-    wam_at_one: float
-    omega: int
-    bound: float
-    holds: bool
-
-
-def crude_em_bound_holds(f: Factorization) -> CrudeEmBound:
-    """Check the multiplicity bound e_m <= wam(n, 1) * omega(n)."""
-    w1 = wam_original(f)
-    e_m = f.exponents[-1]
-    bound = w1 * len(f.primes)
-    return CrudeEmBound(e_m, w1, len(f.primes), bound, e_m <= bound + 1e-12)
 
 
 #: Largest n of the family m = 2^n (2^n - 1) that the library takes:

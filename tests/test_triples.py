@@ -151,8 +151,9 @@ class TestGeneration:
 
     def test_radical_sieve_matches_factoring(self):
         # Limits at, just below and just above prime squares move the bound
-        # of the composite-marking loop.
-        for limit in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 2000):
+        # of the composite-marking loop and the last prime sieved; past it
+        # the cofactor left is a prime above sqrt(limit).
+        for limit in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170, 2000, 10**4):
             rad = _radical_sieve(limit)
             assert rad.dtype == np.int32
             assert rad[0] == 1
@@ -309,6 +310,22 @@ def two_product_cells(triples, grid):
     return np.log10(np.maximum(best, 1e-300)).reshape(grid.cells.shape), cond.reshape(grid.cells.shape)
 
 
+def per_triple_cells(triples, grid):
+    """The cells of grid as a loop over the triples gives them: two
+    ExpSum.grid products per triple on the rows that grid computes, the
+    largest ratio of squared moduli, then the same root, cap and mirror."""
+    ims = grid.im_axis[grid.mirrored :]
+    best = np.zeros((ims.size, grid.re_axis.size))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in triples:
+            sums = triples_module.integer_wam_sums(t.abc_factorization)
+            num, den = (np.square(f.grid(ims, grid.re_axis)) for f in (sums.numerator, sums.denominator))
+            ratio = (num[: ims.size] + num[ims.size :]) / (den[: ims.size] + den[ims.size :])
+            best = np.maximum(best, ratio)
+        best = np.log10(np.maximum(np.fmin(np.sqrt(best), grid.cap), 1e-300))
+    return np.concatenate([best[::-1][: grid.mirrored], best]) if grid.mirrored else best
+
+
 def assert_matches_pointwise(triples, grid):
     """Every cell within CELL_TOL of the pointwise reference, widened by its
     condition, and exactly log10(cap) wherever the reference saturates."""
@@ -328,12 +345,14 @@ class TestHeatmap:
         grid = max_wam_heatmap(triples, SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04))
         assert grid.cells.shape == (301, 301)
         assert_matches_pointwise(triples, grid)
+        assert np.array_equal(grid.cells, per_triple_cells(triples, grid))
 
     def test_saturated_grid_equals_two_products(self):
         triples = generate_triples(2000)
         grid = max_wam_heatmap(triples, self.REGION, cap=1e3)
         assert np.any(grid.cells == 3.0)
         assert_matches_pointwise(triples, grid)
+        assert np.array_equal(grid.cells, per_triple_cells(triples, grid))
 
     @pytest.mark.parametrize(
         "region",
@@ -346,16 +365,32 @@ class TestHeatmap:
     )
     def test_weighted_denominator_equals_two_products(self, monkeypatch, region):
         # Numerator and denominator share rates but not weights, so each
-        # table must carry its own sum's weights.
+        # table must carry its own sum's weights.  Triples with the same
+        # primes but other exponents get other denominators, so they must
+        # not share one.
         def sums(f):
             rates = [math.log(math.log(p)) for p in f.primes]
-            weights = [0.5 + (i % 3) for i in range(len(rates))]
+            weights = [0.5 + (i + e) % 3 for i, e in enumerate(f.exponents)]
             return WamSums(ExpSum(f.exponents, rates), ExpSum(weights, rates))
 
         monkeypatch.setattr(triples_module, "integer_wam_sums", sums)
         triples = generate_triples(500)
         grid = max_wam_heatmap(triples, region)
         assert_matches_pointwise(triples, grid)
+        assert np.array_equal(grid.cells, per_triple_cells(triples, grid))
+
+    def test_each_distinct_denominator_is_evaluated_once(self, monkeypatch):
+        # One set of grid factors per distinct denominator, and one product
+        # for it and one for each triple's numerator.
+        factored, products = [], []
+        grid_factors, product = ExpSum.grid_factors, triples_module._serial_product
+        monkeypatch.setattr(ExpSum, "grid_factors", lambda *a: factored.append(a) or grid_factors(*a))
+        monkeypatch.setattr(triples_module, "_serial_product", lambda *a, **k: products.append(a) or product(*a, **k))
+        triples = list(parse_dataset(DATASET))
+        max_wam_heatmap(triples, self.REGION)
+        distinct = {t.abc_factorization.primes for t in triples}
+        assert len(factored) == len(distinct) == 68
+        assert len(products) == len(distinct) + len(triples)
 
     def test_huge_cap_keeps_cells_finite_and_saturation_exact(self, monkeypatch):
         # cap^2 overflows past 1.34e154.  Near the poles of this region the
@@ -373,8 +408,9 @@ class TestHeatmap:
         assert np.all(grid.cells == 200.0)
 
     def test_temporaries_are_freed_per_triple(self):
-        # The two tables (32 bytes per computed cell) are allocated once per
-        # heatmap, and nothing a triple allocates may outlive it.
+        # The [Re; Im] table, the group's largest |N|^2 and the running maximum
+        # (32 bytes per computed cell) are allocated once per heatmap, and
+        # nothing a group or a triple allocates may outlive it.
         triples = list(parse_dataset(DATASET))
         region = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04)
         tracemalloc.start()

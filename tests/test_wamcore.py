@@ -19,14 +19,12 @@ from wamlab.wamcore import (
     EmptyFactorization,
     ExpSum,
     _serial_product,
-    crude_em_bound_holds,
     evaluate_wam,
     integer_wam_sums,
     mersenne_factorization,
     mersenne_lower_bound_check,
     wam,
     wam_at,
-    wam_original,
     wam_sums,
 )
 
@@ -34,6 +32,13 @@ from wamlab.wamcore import (
 # (ln 2)^s + (ln 3)^s sits at i*pi / ln(ln 3 / ln 2).
 TWO_TERM_RATE_GAP = math.log(math.log(3) / math.log(2))
 FIRST_TWO_TERM_ZERO = complex(0.0, math.pi / TWO_TERM_RATE_GAP)
+
+
+def wam_original(f):
+    """The s = 1 value in closed form: ln(n) / ln(rad n)."""
+    log_n = sum(e * math.log(p) for p, e in f.pairs())
+    log_rad = sum(math.log(p) for p in f.primes)
+    return log_n / log_rad
 
 
 def term_scale(es, a):
@@ -585,21 +590,22 @@ def products_in(module, tree):
     return found
 
 
-class TestCrudeTopMultiplicityBound:
+class TestTopMultiplicityBound:
+    """e_m <= wam(n, 1) * omega.  Proof: sum_k e_k ln p_k >= e_m ln p_m and
+    sum_k ln p_k <= omega ln p_m, so wam(n, 1) >= e_m / omega."""
+
     @pytest.mark.parametrize("n", [8, 30, 72, 360, 2048 * 2047])
     def test_examples_hold(self, n):
-        report = crude_em_bound_holds(factor(n))
-        assert report.holds
-        assert report.e_m <= report.bound + 1e-12
+        f = factor(n)
+        assert f.e_m <= wam_at(f, 1).value.real * f.m + 1e-12
 
     def test_equality_case(self):
-        report = crude_em_bound_holds(factor(8))
-        assert report.holds
-        assert abs(report.bound - report.e_m) < 1e-12
+        f = factor(8)
+        assert abs(wam_at(f, 1).value.real * f.m - f.e_m) < 1e-12
 
     @given(factorizations(min_m=1, max_m=4))
     def test_always_holds(self, f):
-        assert crude_em_bound_holds(f).holds
+        assert f.e_m <= wam_at(f, 1).value.real * f.m + 1e-12
 
 
 class TestMersenneBound:
