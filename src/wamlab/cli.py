@@ -217,11 +217,9 @@ def _cmd_wam(args, out: _Output):
 
 
 def _cmd_acrit(args, out: _Output):
-    prof = critical_abscissa(factor(args.n))
-    out.meta["n"] = args.n
-    out.meta["m"] = prof.m
-    out.meta["e_m"] = prof.e_m
-    out.meta["is_constant"] = prof.is_constant
+    f = factor(args.n)
+    prof = critical_abscissa(f)
+    out.meta.update(n=args.n, m=f.m, e_m=f.e_m, is_constant=prof.is_constant)
     if prof.a_crit is None:
         out.value(None, "none")
     else:

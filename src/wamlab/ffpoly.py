@@ -512,12 +512,10 @@ def poly_wam(t: PolyAbcTriple, s: complex) -> WamEvaluation:
     >>> poly_wam(t, 1).value
     (1+0j)
     """
-    # a, b and c are pairwise coprime, so their factors merge as they are.
-    _, heights, exps = zip(*sorted(
-        (p.sort_key(), float(p.degree), e)
-        for x in (t.a, t.b, t.c) for p, e in poly_factor(x).factors
-    ))
-    return evaluate_wam(wam_sums(heights, exps), s)
+    # a, b and c are pairwise coprime, so their factors merge as they are;
+    # wam_sums merges the factors of one degree.
+    factors = [(float(p.degree), e) for x in (t.a, t.b, t.c) for p, e in poly_factor(x).factors]
+    return evaluate_wam(wam_sums(*zip(*factors)), s)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ case, so the evaluation core below takes an explicit height list.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -102,8 +104,8 @@ class ExpSum:
     r_k = ln ln p_k), as do their s-derivatives (weights w_k r_k).  The one
     pointwise evaluator is `shifted_terms`: the terms divided by the largest
     term modulus, which cannot overflow and leave ratios of sums on the
-    same rates (wam, f/f', f'/f) unchanged; `_weighted_sum` adds them.  The
-    one grid evaluator is `grid`: Re f and Im f over a rectangle, one product.
+    same rates (wam, f/f', f'/f) unchanged; `_weighted_sum` adds them.  A
+    grid of Re f and Im f over a rectangle is one product of `grid_factors`.
     """
 
     __slots__ = ("weights", "rates")
@@ -129,57 +131,65 @@ class ExpSum:
         vals = _weighted_sum(terms, self.weights) * np.exp(sigma)
         return complex(vals) if np.ndim(s) == 0 else vals
 
-    def grid_factors(self, y, x):
-        """The factors of `grid` without the weights, which every sum on these
-        rates shares: [cos(y ⊗ r); sin(y ⊗ r)] and exp(r ⊗ x - max_k r_k x)."""
+    def phases(self, y):
+        """[cos(y ⊗ r); sin(y ⊗ r)]: times the weights, the row factor of a grid."""
         phases = np.multiply.outer(np.asarray(y, dtype=float), self.rates)
-        right = self.shifted_terms(np.asarray(x, dtype=float))[0]
-        return np.concatenate([np.cos(phases), np.sin(phases)]), right.T
+        return np.concatenate([np.cos(phases), np.sin(phases)])
 
-    def grid(self, y, x, out=None):
-        """[Re f; Im f] at x[j] + i y[i] for real 1-d y and x, as one real
-        matrix product, into `out` when given.
-
-        exp(r(x + iy)) = exp(iry) exp(rx), so the table is
-        [w cos(y ⊗ r); w sin(y ⊗ r)] @ exp(r ⊗ x): (len y + len x)·m
-        exponentials instead of len y·len x·m, and half the multiplies of a
-        complex product.  The x factor is shifted terms, so column j comes
-        divided by exp(max_k r_k x_j): it cannot overflow, and the signs of
-        Re and Im and the ratio of two sums on the same rates are kept.
-        """
-        phases, columns = self.grid_factors(y, x)
-        return _serial_product(phases * self.weights, columns, out)
+    def grid_factors(self, y, x):
+        """phases(y) and the columns exp(r ⊗ x - max_k r_k x), shared by every sum
+        on these rates: [Re f; Im f] at x[j] + i y[i] is (phases(y) * weights)
+        @ columns, as exp(r(x + iy)) = exp(iry) exp(rx), from (len y + len x)·m
+        exponentials.  Column j is divided by exp(max_k r_k x_j): it cannot
+        overflow, and signs of Re and Im and ratios of sums are kept."""
+        return self.phases(y), self.shifted_terms(np.asarray(x, dtype=float))[0].T
 
 
 @dataclass(frozen=True)
 class WamSums:
-    """Numerator and denominator of a wam function as exponential sums."""
+    """Numerator and denominator of a wam function as exponential sums on one
+    set of strictly increasing rates; build them with wam_sums."""
 
     numerator: ExpSum
     denominator: ExpSum
 
 
 def wam_sums(heights: Sequence[float], exponents: Sequence[int]) -> WamSums:
-    """Build wam sums from positive heights h_k and multiplicities e_k.
+    """Wam sums from positive heights h_k and multiplicities e_k; all are made here.
 
-    Integer case: h_k = ln p_k.  Polynomial case: h_k = deg p_k (heights may
-    repeat there; every irreducible factor contributes its own term).
+    Integer case: h_k = ln p_k.  Polynomial case: h_k = deg p_k.  Terms on
+    one rate ln h_k merge: the denominator weight W is their count and the
+    numerator weight their multiplicities' sum, so the rates strictly
+    increase.  Strictly increasing heights are kept as given, every W = 1.
     """
     if len(heights) == 0:
         raise EmptyFactorization("at least one factor is required")
     if len(heights) != len(exponents):
         raise ValueError("heights and exponents must be parallel")
-    if any(h <= 0 for h in heights):
-        raise ValueError("heights must be positive")
-    rates = [math.log(h) for h in heights]
-    return WamSums(
-        numerator=ExpSum([float(e) for e in exponents], rates),
-        denominator=ExpSum([1.0] * len(rates), rates),
-    )
+    if not all(0 < h < math.inf for h in heights):
+        raise ValueError("heights must be positive and finite")
+    rates, counts = [math.log(h) for h in heights], [1.0] * len(heights)
+    if not all(map(operator.lt, rates, rates[1:])):
+        pairs = groupby(sorted(zip(rates, exponents)), operator.itemgetter(0))
+        merged = [(r, [e for _, e in g]) for r, g in pairs]
+        rates, exponents = [r for r, _ in merged], [sum(es) for _, es in merged]
+        counts = [float(len(es)) for _, es in merged]
+    return WamSums(ExpSum([float(e) for e in exponents], rates), ExpSum(counts, rates))
 
 
 def integer_wam_sums(f: Factorization) -> WamSums:
+    if not f.primes:
+        raise EmptyFactorization("wam is undefined for n = 1")
     return wam_sums([math.log(p) for p in f.primes], f.exponents)
+
+
+Sums = WamSums | Factorization  # what the analytic entry points take
+
+
+def as_sums(x: Sums) -> WamSums:
+    """x itself if it is WamSums, else the sums of the integer Factorization x:
+    the one conversion each analytic entry point makes."""
+    return x if isinstance(x, WamSums) else integer_wam_sums(x)
 
 
 @dataclass(frozen=True)
@@ -229,8 +239,6 @@ def wam_at(f: Factorization, s):
     >>> round(wam_at(factor(72), 0).value.real, 12)
     2.5
     """
-    if not f.primes:
-        raise EmptyFactorization("wam is undefined for n = 1")
     return evaluate_wam(integer_wam_sums(f), s)
 
 

@@ -1,12 +1,13 @@
-"""Zero location for wam denominators f(s) = sum_k (ln p_k)^s.
+"""Zero location for wam denominators f(s) = sum_k W_k h_k^s.
 
-Zeros of f are the candidate poles of wam.  A zero is an actual pole
-unless the numerator vanishes there too, which happens identically (for
-every zero at once) exactly when all exponents are equal.  The search is
-grid-seeded Newton iteration; a certified winding count of f round the
-same rectangle serves as an independent cross-check, and a direct
-scan along the vertical line Re(s) = a_crit probes how close f comes to
-vanishing near its critical abscissa.
+Heights h_k and weights W_k are as in critical, and every function here
+takes WamSums or an integer Factorization.  Zeros of f are the candidate
+poles of wam.  A zero is an actual pole unless the numerator vanishes there
+too, which happens identically (for every zero at once) exactly when wam is
+constant.  The search is grid-seeded Newton iteration; a certified winding
+count of f round the same rectangle serves as an independent cross-check,
+and a direct scan along the vertical line Re(s) = a_crit probes how close f
+comes to vanishing near its critical abscissa.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import Factorization
 from .critical import critical_abscissa
-from .wamcore import ExpSum, _serial_product, _weighted_sum, integer_wam_sums
+from .wamcore import ExpSum, Sums, _serial_product, _weighted_sum, as_sums
 
-#: |N(s)| below this multiple of sum e_k |(ln p_k)^s| marks a removable zero.
+#: |N(s)| below this multiple of sum_k E_k |h_k^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
 #: Points per block of the seed grid and of the critical-line scan: 2^16
 #: complex values, or their real and imaginary parts, about 1 MB.  Seed
@@ -35,7 +35,7 @@ _MAX_SEEDS = 1 << 19
 #: The critical-line scan tables every _PROBE_STRIDE-th sample.
 _PROBE_STRIDE = 8
 #: Newton stops at |f(z)| < NEWTON_TOL, with |f| in units of the largest
-#: term modulus max_k |(ln p_k)^z|, as are all magnitudes the search reports.
+#: term modulus max_k |h_k^z|, as are all magnitudes the search reports.
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 40
 #: Most samples critical_line_probe takes: 15-25 s, since 2e8 samples take
@@ -85,7 +85,7 @@ class SearchRegion:
 @dataclass(frozen=True)
 class ZeroRecord:
     """One polished zero of f with its pole-vs-removable classification;
-    residual |f| and numerator_magnitude |N| are in units of max_k |(ln p_k)^s|."""
+    residual |f| and numerator_magnitude |N| are in units of max_k |h_k^s|."""
 
     location: complex
     residual: float
@@ -125,11 +125,11 @@ def _axis_size(lo: float, hi: float, step: float, most: float) -> int:
 def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     """Centers of grid cells where Re f and Im f both change sign.
 
-    The grid is evaluated as ExpSum.grid tables, and its im axis built, in
+    The grid is evaluated as [Re f; Im f] tables, and its im axis built, in
     bands of at most _SEED_BLOCK points, or of two rows where rows are wider
     than half that; each band starts on the last row of the one before, so
-    no cell loses a corner.  A band evaluates its points, the 2m cosines
-    and sines of each row and the m exponentials of each column.  Rows wider
+    no cell loses a corner.  A band evaluates its points and the 2m cosines
+    and sines of each row; each column's m exponentials are shared.  Rows wider
     than _SEED_ROW_MAX, grids of over _SEED_MAX_VALUES values and over
     _MAX_SEEDS seeds raise MemoryError.
     """
@@ -140,10 +140,11 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
         raise ValueError("region is smaller than one grid cell")
     rows = max(2, _SEED_BLOCK // n_re)
     bands = -(-(n_im - 1) // (rows - 1))  # each band after the first repeats one row
-    if (n_im + bands - 1) * (n_re + 2 * m) + bands * n_re * m > _SEED_MAX_VALUES:
+    if (n_im + bands - 1) * (n_re + 2 * m) + n_re * m > _SEED_MAX_VALUES:
         raise MemoryError(f"a seed grid of {n_re} x {n_im:.4g} points evaluates over "
                           f"{_SEED_MAX_VALUES} values; search a smaller rectangle")
     re = region.re_min + step * np.arange(n_re)
+    columns = den.shifted_terms(re)[0].T  # as in ExpSum.grid_factors
 
     def _mixed(p):  # a cell is mixed unless its four corners agree
         corner = p[:-1, :-1]
@@ -152,7 +153,7 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     ii, jj, seeds = [], [], 0
     for lo in range(0, n_im - 1, rows - 1):
         im = region.im_min + step * np.arange(lo, min(lo + rows, n_im))
-        positive = den.grid(im, re) >= 0  # rows of Re f, then of Im f
+        positive = _serial_product(den.phases(im) * den.weights, columns) >= 0  # Re f, then Im f
         i, j = np.nonzero(_mixed(positive[: im.size]) & _mixed(positive[im.size :]))
         seeds += i.size
         if seeds > _MAX_SEEDS:
@@ -233,8 +234,8 @@ def _dedup(points: np.ndarray, residuals, radius) -> list[int]:
     return kept
 
 
-def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
-    """Zeros of the denominator of wam(n, s) inside the region.
+def find_zeros(x: Sums, region: SearchRegion) -> ZeroSearch:
+    """Zeros of the denominator of wam inside the region.
 
     Every grid cell (default step 0.05) where both Re f and Im f change
     sign seeds a Newton run; converged points are filtered to the region,
@@ -249,10 +250,9 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     >>> search.records[0].classification.value
     'removable'
     """
-    sums = integer_wam_sums(f)
-    if len(sums.denominator.weights) < 2:
-        raise ValueError("zero search requires at least two factors (m >= 2)")
-    den = sums.denominator
+    den = (sums := as_sums(x)).denominator
+    if len(den.weights) < 2:
+        raise ValueError("zero search requires at least two heights (m >= 2)")
     seeds = _seed_points(den, region)
     polished, converged, dropped = _newton_polish(den, seeds)
 
@@ -291,7 +291,7 @@ def find_zeros(f: Factorization, region: SearchRegion) -> ZeroSearch:
     )
 
 
-def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
+def argument_principle_count(x: Sums, region: SearchRegion) -> int:
     """Number of zeros of f inside the rectangle, by a certified winding count.
 
     The count is the winding number of g(s) = e^(-cs) f(s) round the
@@ -307,9 +307,9 @@ def argument_principle_count(f: Factorization, region: SearchRegion) -> int:
     BoundaryZero is raised where |g| is within rounding of 0 on the
     boundary, and MemoryError past _COUNT_MAX_SEGMENTS segments.
     """
-    den = integer_wam_sums(f).denominator
+    den = as_sums(x).denominator
     if len(den.weights) < 2:
-        raise ValueError("argument principle requires at least two factors")
+        raise ValueError("argument principle requires at least two heights")
     g = ExpSum(den.weights, den.rates - 0.5 * (den.rates.max() + den.rates.min()))
     slopes, weights, m = np.abs(g.weights * g.rates), np.abs(g.weights), g.rates.size
     rounding, rmax = 8 * np.finfo(float).eps, np.abs(g.rates).max()
@@ -362,9 +362,7 @@ class CriticalLineProbe:
     argmin_b: float
 
 
-def critical_line_probe(
-    f: Factorization, b_max: float, samples: int
-) -> CriticalLineProbe:
+def critical_line_probe(x: Sums, b_max: float, samples: int) -> CriticalLineProbe:
     """Scan |f(a_crit + ib)| for b on a uniform grid over [0, b_max].
 
     `samples` counts grid intervals, so the b spacing is b_max/samples and
@@ -374,7 +372,7 @@ def critical_line_probe(
     not depend on the batch), so the minimum is monotone under refinement.
     Ties go to the smallest b.  Requires m >= 3, where denominator zeros
     genuinely are poles of a nonconstant wam.  More than 2^32 samples raise
-    MemoryError, and an a_crit at which sum_k (ln p_k)^a overflows a double
+    MemoryError, and an a_crit at which sum_k W_k h_k^a overflows a double
     raises ValueError, before any sample is taken.
 
     The scan runs in blocks of at most 2^16 samples, each one product of
@@ -390,7 +388,8 @@ def critical_line_probe(
     pointwise, in one call per block, so the result does not depend on the
     blocks, on K or on the BLAS kernel.
     """
-    if len(f.primes) < 3:
+    den = (sums := as_sums(x)).denominator
+    if den.rates.size < 3:
         raise ValueError("the critical-line probe requires m >= 3")
     if not 0 < b_max < math.inf:
         raise ValueError(f"b_max must be positive and finite, got {b_max}")
@@ -398,8 +397,7 @@ def critical_line_probe(
         raise ValueError("samples must be positive")
     if not samples <= _PROBE_MAX_SAMPLES:
         raise MemoryError("the critical-line probe takes at most 2^32 samples")
-    a = critical_abscissa(f).a_crit
-    den = integer_wam_sums(f).denominator
+    a = critical_abscissa(sums).a_crit
     step = b_max / samples
     terms, sigma = den.shifted_terms(a)
     scale = _weighted_sum(terms, np.abs(den.weights))  # in the kernel's units

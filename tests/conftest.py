@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, settings
 import wamlab
 from wamlab import triples
 from wamlab.arith import MAX_VALUE, Factorization
+from wamlab.wamcore import _serial_product
 
 FULL = os.environ.get("WAMLAB_FULL") == "1"
 
@@ -27,6 +28,14 @@ settings.register_profile(
     max_examples=200 if FULL else 60,
 )
 settings.load_profile("wamlab")
+
+
+def grid_table(es, y, x, out=None):
+    """[Re f; Im f] of the ExpSum es at x[j] + i y[i], into `out` when given:
+    the one product of ExpSum.grid_factors that the heatmap and the zero
+    seeds take."""
+    phases, columns = es.grid_factors(y, x)
+    return _serial_product(phases * es.weights, columns, out)
 
 
 @pytest.fixture(autouse=True)

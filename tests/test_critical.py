@@ -5,21 +5,28 @@ import random
 
 import numpy as np
 import pytest
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import factorizations
 from test_acceptance import SAMPLE_TRIPLES
-from wamlab.arith import factor
+from wamlab import critical, wamcore
+from wamlab.arith import Factorization, factor
 from wamlab.critical import (
+    BISECT_TOL,
     BelowCritical,
+    CriticalProfile,
     critical_abscissa,
     critical_abscissae,
     is_wam_constant,
     wam_upper,
 )
+from wamlab.ffpoly import pigeonhole_triple, poly_factor
 from wamlab.triples import generate_triples
-from wamlab.wamcore import EmptyFactorization, wam_at
+from wamlab.wamcore import EmptyFactorization, ExpSum, WamSums, integer_wam_sums, wam_at, wam_sums
+from wamlab.zeros import SearchRegion, argument_principle_count, critical_line_probe, find_zeros
 
 
 def defect(f, a):
@@ -54,15 +61,16 @@ def oracle_root(rates, mpmath):
 
 def scalar_abscissa(f):
     """The one-row bisection critical_abscissa ran before the batch solver:
-    a float loop with one np.sum of a length m - 1 array per step.
-    critical_abscissae must reproduce it bit for bit."""
-    m = len(f.primes)
+    a float loop with one np.sum of a length m - 1 array per step, on the
+    rates ln ln p_k that wam evaluates.  critical_abscissae must reproduce
+    it bit for bit."""
+    rates = integer_wam_sums(f).denominator.rates
+    m = len(rates)
     if m == 1:
         return None
     if m == 2:
         return 0.0
-    logs = np.log([float(p) for p in f.primes])
-    log_ratios = np.log(logs[:-1]) - math.log(logs[-1])
+    log_ratios = rates[:-1] - rates[-1]
 
     def g(a):
         with np.errstate(over="ignore"):
@@ -131,7 +139,6 @@ class TestBatchAbscissae:
         forward = critical_abscissae(fs)
         backward = critical_abscissae(fs[::-1])
         assert backward == forward[::-1]
-        assert [(p.m, p.e_m) for p in forward] == [(f.m, f.e_m) for f in fs]
         assert [p.is_constant for p in forward] == [is_wam_constant(f) for f in fs]
 
     def test_a_crit_is_a_python_float(self):
@@ -150,10 +157,7 @@ class TestBatchAbscissae:
 
 class TestCriticalAbscissa:
     def test_single_prime_has_none(self):
-        profile = critical_abscissa(factor(8))
-        assert profile.a_crit is None
-        assert profile.m == 1
-        assert profile.e_m == 3
+        assert critical_abscissa(factor(8)) == CriticalProfile(None, True)
 
     def test_two_primes_is_exactly_zero(self):
         assert critical_abscissa(factor(6)).a_crit == 0.0
@@ -220,8 +224,8 @@ class TestCriticalAbscissa:
         f = squarefree(primes)
         a = critical_abscissa(f).a_crit
         # Against the root of g on the float log ratios the solver uses.
-        logs = np.log([float(p) for p in primes])
-        rates = np.log(logs[:-1]) - math.log(logs[-1])
+        rates = integer_wam_sums(f).denominator.rates
+        rates = rates[:-1] - rates[-1]
         assert abs(a - oracle_root(rates.tolist(), mpmath)) <= 1e-12 * a
         # Against the exact root, within what rounding the log ratios allows:
         # an error d in every rate moves a_crit by at most a * d / min |r|.
@@ -314,3 +318,116 @@ class TestNoPolesBeyondCritical:
         for _ in range(30):
             s = complex(a0 + 1e-6 + rng.uniform(0, 5), rng.uniform(-50, 50))
             assert not wam_at(f, s).is_pole
+
+
+def pigeonhole_degrees(q, n):
+    """(degree, multiplicity) of every irreducible factor of the abc of
+    pigeonhole_triple(q, n), as poly_wam takes them."""
+    t = pigeonhole_triple(q, n).triple
+    return [(p.degree, e) for x in (t.a, t.b, t.c) for p, e in poly_factor(x).factors]
+
+
+def pigeonhole_sums(q, n):
+    degrees, exponents = zip(*pigeonhole_degrees(q, n))
+    return wam_sums([float(d) for d in degrees], exponents)
+
+
+class TestSumsEntry:
+    """The analytic entry points on WamSums: degree heights, equal heights
+    merged into one weighted rate."""
+
+    def test_a_heavy_top_height_has_a_negative_closed_form(self):
+        # W = (1, 2): g(a) = (1/2) (1/2)^a = 1 at a = -1 exactly.
+        profile = critical_abscissa(wam_sums([1.0, 2.0, 2.0], [1, 1, 1]))
+        assert profile == CriticalProfile(-1.0, True)
+
+    def test_equal_weights_at_two_heights_give_positive_zero(self):
+        a = critical_abscissa(wam_sums([1.0, 1.0, 3.0, 3.0], [1, 2, 1, 1])).a_crit
+        assert a == 0.0 and math.copysign(1.0, a) == 1.0
+
+    def test_degrees_one_two_four_solve_to_log2_phi(self):
+        # (1/4)^a + (1/2)^a = 1: x = 2^-a solves x^2 + x = 1, so a = log2 phi.
+        # The bisection stops within BISECT_TOL, its midpoint within half that.
+        a = critical_abscissa(wam_sums([1.0, 2.0, 4.0], [1, 1, 1])).a_crit
+        assert abs(a - math.log2((1 + math.sqrt(5)) / 2)) <= BISECT_TOL / 2
+        assert abs(a - 0.6942419136306174) <= BISECT_TOL / 2
+
+    def test_lower_bracket_widens_when_g_starts_below_one(self):
+        # g(a) = 1e-30 (2^-a + (4/3)^-a): g(-64) < 1, and the root is near -100.
+        rates = np.log([1.0, 1.5, 2.0])
+        sums = WamSums(ExpSum([1.0, 1.0, 1.0], rates), ExpSum([1.0, 1.0, 1e30], rates))
+        a = critical_abscissa(sums).a_crit
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = mpmath.findroot(  # ln g(a) = 0
+                lambda a: mpmath.log(mpmath.mpf(0.5) ** a + mpmath.mpf(0.75) ** a) - 30 * mpmath.log(10),
+                (-200, -64), solver="anderson")
+        assert a < -64 and abs(a - exact) <= BISECT_TOL
+
+    @pytest.mark.parametrize("q,n", [(2, 13), (2, 17)])
+    def test_pigeonhole_sums_solve_the_merged_equation(self, q, n):
+        mpmath = pytest.importorskip("mpmath")
+        a = critical_abscissa(pigeonhole_sums(q, n)).a_crit
+        counts = Counter(d for d, _ in pigeonhole_degrees(q, n))
+        top = max(counts)
+        with mpmath.workdps(30):
+            g = mpmath.fsum(mpmath.mpf(w) / counts[top] * (mpmath.mpf(d) / top) ** a
+                            for d, w in counts.items() if d < top)
+            assert abs(g - 1) <= 1e-8
+
+    @pytest.mark.parametrize("q,n", [(2, 13), (2, 17)])
+    def test_pigeonhole_count_equals_the_zeros_found(self, q, n):
+        sums = pigeonhole_sums(q, n)
+        a = critical_abscissa(sums).a_crit
+        region = SearchRegion(-4.0, a + 0.5, 0.0131, 40.0137)
+        search = find_zeros(sums, region)
+        assert search.no_convergence == 0 and len(search.records) > 10
+        assert argument_principle_count(sums, region) == len(search.records)
+
+    def test_primes_whose_heights_round_equal_merge(self):
+        # ln p and ln q are one double for these two primes near 2^62, so
+        # the product of 2, p and q has two rates; unmerged, g never falls
+        # below 1 and the bracket expansion failed.
+        p, q = 4611686018427387817, 4611686018427387847
+        assert math.log(p) == math.log(q)
+        f = Factorization(2 * p * q, (2, p, q), (1, 1, 1))
+        low, top = integer_wam_sums(f).denominator.rates.tolist()
+        assert critical_abscissa(f).a_crit == math.log(1 / 2) / (top - low)
+
+    def test_tail_bound_tends_to_the_top_mean_multiplicity(self):
+        sums = wam_sums([1.0, 2.0, 2.0], [3, 1, 2])
+        assert wam_upper(sums, math.inf) == 1.5
+        assert not is_wam_constant(sums)
+
+    @given(st.lists(factorizations(min_m=1, max_m=8), max_size=12))
+    def test_factorizations_and_their_sums_agree(self, fs):
+        assert critical_abscissae(fs) == critical_abscissae([integer_wam_sums(f) for f in fs])
+
+    def test_critical_solves_on_the_rates_wam_evaluates(self, monkeypatch):
+        # ln ln 389 is where numpy's vectorised log and libm's first round
+        # apart on some builds; both paths now read libm's rates.
+        f = factor(2 * 3 * 389)
+        seen, bisect = [], critical._bisect
+        monkeypatch.setattr(critical, "_bisect", lambda lr, w: seen.append(lr) or bisect(lr, w))
+        critical_abscissa(f)
+        rates = [math.log(math.log(p)) for p in (2, 3, 389)]
+        assert integer_wam_sums(f).denominator.rates.tolist() == rates
+        assert seen[0].tolist() == [[rates[0] - rates[2], rates[1] - rates[2]]]
+
+    def test_each_entry_point_converts_its_input_once(self, monkeypatch):
+        calls, convert = [], wamcore.integer_wam_sums
+        monkeypatch.setattr(wamcore, "integer_wam_sums", lambda f: calls.append(f) or convert(f))
+        f, region = factor(30), SearchRegion(-1.0, 2.5, 0.0, 20.0)
+        entries = [
+            lambda: critical_abscissa(f),
+            lambda: critical_abscissae([f, f]),
+            lambda: is_wam_constant(f),
+            lambda: wam_upper(f, 2.0),
+            lambda: find_zeros(f, region),
+            lambda: argument_principle_count(f, region),
+            lambda: critical_line_probe(f, 100.0, 100),
+        ]
+        for run, inputs in zip(entries, [1, 2, 1, 1, 1, 1, 1]):
+            calls.clear()
+            run()
+            assert len(calls) == inputs

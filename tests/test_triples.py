@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import run_with_blas_threads
+from conftest import grid_table, run_with_blas_threads
 from wamlab.arith import factor, radical
 from wamlab.triples import (
     GENERATE_C_MAX_LIMIT,
@@ -312,14 +312,14 @@ def two_product_cells(triples, grid):
 
 def per_triple_cells(triples, grid):
     """The cells of grid as a loop over the triples gives them: two
-    ExpSum.grid products per triple on the rows that grid computes, the
+    grid_table products per triple on the rows that grid computes, the
     largest ratio of squared moduli, then the same root, cap and mirror."""
     ims = grid.im_axis[grid.mirrored :]
     best = np.zeros((ims.size, grid.re_axis.size))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in triples:
             sums = triples_module.integer_wam_sums(t.abc_factorization)
-            num, den = (np.square(f.grid(ims, grid.re_axis)) for f in (sums.numerator, sums.denominator))
+            num, den = (np.square(grid_table(f, ims, grid.re_axis)) for f in (sums.numerator, sums.denominator))
             ratio = (num[: ims.size] + num[ims.size :]) / (den[: ims.size] + den[ims.size :])
             best = np.maximum(best, ratio)
         best = np.log10(np.maximum(np.fmin(np.sqrt(best), grid.cap), 1e-300))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from conftest import factorizations
+from conftest import factorizations, grid_table
 from wamlab.arith import factor, radical
 from wamlab import triples, wamcore, zeros
 from wamlab.wamcore import (
@@ -197,6 +197,42 @@ class TestDomain:
         with pytest.raises(ValueError):
             wam_sums([2.0, -1.0], [1, 1])
 
+    @pytest.mark.parametrize("height", [math.inf, math.nan])
+    def test_sums_require_finite_heights(self, height):
+        with pytest.raises(ValueError):
+            wam_sums([2.0, height], [1, 1])
+
+
+class TestMergedHeights:
+    """wam_sums merges equal heights: W counts them, the numerator weight
+    adds their multiplicities, and the rates strictly increase."""
+
+    def test_equal_heights_merge(self):
+        sums = wam_sums([2, 1, 2], [1, 3, 2])
+        assert sums.denominator.rates.tolist() == sums.numerator.rates.tolist() == [0.0, math.log(2)]
+        assert sums.numerator.weights.tolist() == [3.0, 3.0]
+        assert sums.denominator.weights.tolist() == [1.0, 2.0]
+
+    def test_increasing_heights_are_kept_with_unit_weights(self):
+        f = factor(2 * 3**2 * 7 * 11**3)
+        sums = integer_wam_sums(f)
+        assert sums.denominator.rates.tolist() == [math.log(math.log(p)) for p in f.primes]
+        assert sums.denominator.weights.tolist() == [1.0] * 4
+        assert sums.numerator.weights.tolist() == [1.0, 2.0, 1.0, 3.0]
+
+    def test_height_order_does_not_matter(self):
+        a, b = wam_sums([3, 1, 2, 1], [1, 2, 3, 4]), wam_sums([1, 1, 2, 3], [4, 2, 3, 1])
+        for x, y in ((a.numerator, b.numerator), (a.denominator, b.denominator)):
+            assert x.rates.tobytes() == y.rates.tobytes() and x.weights.tobytes() == y.weights.tobytes()
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, complex(0.5, 3.0), complex(-2.0, 40.0)])
+    def test_merged_value_matches_the_unmerged_sums(self, s):
+        heights, exps = [2.0, 1.0, 2.0, 5.0, 5.0, 5.0], [1, 3, 2, 1, 1, 4]
+        num = sum(e * h**s for h, e in zip(heights, exps))
+        den = sum(h**s for h in heights)
+        value = evaluate_wam(wam_sums(heights, exps), s).value
+        assert abs(value - num / den) <= 1e-13 * abs(num / den)
+
 
 #: Points for the batched evaluator: the pole of the {2, 3} sums, Re s far
 #: out on both sides (one term dominates, the rest underflow), both zeros.
@@ -331,7 +367,7 @@ class TestExpSum:
 
 
 class TestOuterKernel:
-    """ExpSum.grid, the separable kernel behind heatmaps and seed grids: a
+    """ExpSum.grid_factors, the separable kernel behind heatmaps and seed grids: a
     real table [Re f; Im f] from one product of a y factor and an x factor."""
 
     RE = np.linspace(-6.0, 6.0, 25)
@@ -343,7 +379,7 @@ class TestOuterKernel:
 
     @staticmethod
     def complex_table(es, im, re):
-        table = es.grid(im, re)
+        table = grid_table(es, im, re)
         assert table.shape == (2 * np.size(im), np.size(re)) and table.dtype == float
         return table[: np.size(im)] + 1j * table[np.size(im) :]
 
@@ -399,8 +435,8 @@ class TestOuterKernel:
     def test_table_is_written_into_out(self):
         es = integer_wam_sums(factor(2 * 3**2 * 7 * 11**3)).numerator
         out = np.full((2 * self.IM.size, self.RE.size), np.nan)
-        assert es.grid(self.IM, self.RE, out=out) is out
-        assert out.tobytes() == es.grid(self.IM, self.RE).tobytes()
+        assert grid_table(es, self.IM, self.RE, out=out) is out
+        assert out.tobytes() == grid_table(es, self.IM, self.RE).tobytes()
 
     @given(factorizations(min_m=2))
     def test_shifted_rectangle_survives_extreme_real_parts(self, f):
@@ -491,7 +527,7 @@ class TestSerialProduct:
     def test_matrix_matrix_matches_matmul(self, k, n, rest):
         m = 5 * len(block_rows(2**16, k, n)[0]) + rest
         a = self.complex_matrix(m, k) * self.RNG.standard_normal(k)
-        # b as ExpSum.grid and the probe build it (Fortran order) and in C order.
+        # b as ExpSum.grid_factors and the probe build it (Fortran order) and in C order.
         self.assert_within_rounding(a, self.complex_matrix(n, k).T.astype(complex))
         self.assert_within_rounding(a, self.complex_matrix(k, n))
         self.assert_within_rounding(np.abs(a), self.RNG.standard_normal((k, n)))

@@ -295,15 +295,16 @@ class TestSeedBands:
 
     @pytest.mark.parametrize("block", [300, 1 << 16])
     def test_grid_cap_bounds_the_values_evaluated(self, monkeypatch, block):
-        # A band of y rows and x columns evaluates its y x points, 2m
-        # cosines and sines a row and m exponentials a column.
+        # A band of y rows and x columns evaluates its y x points and 2m
+        # cosines and sines a row; the m exponentials of each column are
+        # evaluated once for the whole grid.
         den = integer_wam_sums(factor(30)).denominator
-        evaluated, grid = [], ExpSum.grid
-        monkeypatch.setattr(ExpSum, "grid", lambda es, y, x, out=None: evaluated.append(
-            y.size * (x.size + 2 * es.rates.size) + x.size * es.rates.size) or grid(es, y, x, out))
+        n_re, m = 71, den.rates.size
+        rows, phases = [], ExpSum.phases
+        monkeypatch.setattr(ExpSum, "phases", lambda es, y: rows.append(y.size) or phases(es, y))
         monkeypatch.setattr(zeros, "_SEED_BLOCK", block)
         seeds = _seed_points(den, self.REGION)
-        used = sum(evaluated)
+        used = sum(rows) * (n_re + 2 * m) + n_re * m
         monkeypatch.setattr(zeros, "_SEED_MAX_VALUES", used)
         assert np.array_equal(_seed_points(den, self.REGION), seeds)
         monkeypatch.setattr(zeros, "_SEED_MAX_VALUES", used - 1)
