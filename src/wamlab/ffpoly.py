@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .arith import is_prime, mobius
-from .wamcore import WamEvaluation, evaluate_wam, wam_sums
+from .wamcore import WamEvaluation, wam_at, wam_sums
 
 MAX_CHARACTERISTIC = 1 << 16
 MAX_FACTOR_DEGREE = 64
@@ -515,7 +515,7 @@ def poly_wam(t: PolyAbcTriple, s: complex) -> WamEvaluation:
     # a, b and c are pairwise coprime, so their factors merge as they are;
     # wam_sums merges the factors of one degree.
     factors = [(float(p.degree), e) for x in (t.a, t.b, t.c) for p, e in poly_factor(x).factors]
-    return evaluate_wam(wam_sums(*zip(*factors)), s)
+    return wam_at(wam_sums(*zip(*factors)), s)
 
 
 @dataclass(frozen=True)
@@ -536,17 +536,19 @@ def mason_stothers_check(t: PolyAbcTriple) -> MasonStothersReport:
 def cyclotomic_wam_formula(p: int, s: complex) -> WamEvaluation:
     """Closed-form wam of the rational triple (1, x^p - 1, x^p), p prime.
 
-    The middle entry splits as (x - 1) times an irreducible of degree
-    p - 1, so wam(abc, s) = (p + p^s + 1) / (p^s + 2); no polynomial
-    factorization is performed.  That is the wam of heights (1, p, 1) with
-    multiplicities (p, 1, 1), evaluated like every other wam.
+    x^p has the factor x of degree 1, p times; x^p - 1 splits as (x - 1)
+    times the cyclotomic polynomial of degree p - 1, irreducible over Q and
+    over F_q for q a primitive root mod p.  So wam(abc, s) =
+    (p + 1 + (p - 1)^s) / ((p - 1)^s + 2): the wam of degree heights
+    (1, p - 1, 1) with multiplicities (p, 1, 1), evaluated like every other
+    wam; no polynomial factorization is performed.
 
     >>> cyclotomic_wam_formula(5, 0).value
     (2.3333333333333335+0j)
     """
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return evaluate_wam(wam_sums([1.0, p, 1.0], [p, 1, 1]), s)
+    return wam_at(wam_sums([1.0, p - 1.0, 1.0], [p, 1, 1]), s)
 
 
 @dataclass(frozen=True)

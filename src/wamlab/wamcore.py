@@ -30,7 +30,8 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 # A point s is reported as a pole when |denominator| drops below this fraction
-# of sum_k |(ln p_k)^s|, the scale of the terms being cancelled.
+# of sum_k |h_k^s| over the factors, the scale of the terms being cancelled:
+# sum_d W_d |d^s| over merged heights d.
 POLE_RTOL = 1e-12
 
 
@@ -217,29 +218,25 @@ def _points(s) -> tuple[list[complex], bool]:
     return [as_complex(z) for z in s], True
 
 
-def evaluate_wam(sums: WamSums, s):
-    """wam at s, one point or a 1-d sequence of points; a sequence gives a
-    list, one evaluation per point ([] for no points).  Every point is
-    checked before any is evaluated."""
+def wam_at(x: Sums, s):
+    """wam of WamSums, or of an integer Factorization, at complex s or at each
+    of a 1-d sequence of points; a sequence gives a list, one evaluation per
+    point ([] for no points).  Every point is checked before any is evaluated.
+
+    >>> round(wam_at(factor(72), 0).value.real, 12)
+    2.5
+    """
+    sums = as_sums(x)
     points, is_sequence = _points(s)
     terms = sums.denominator.shifted_terms(np.array(points, dtype=complex))[0]  # numerator's too
     nums = _weighted_sum(terms, sums.numerator.weights).tolist()
     dens = _weighted_sum(terms, sums.denominator.weights).tolist()
-    scales = np.abs(terms).sum(axis=1).tolist()
+    scales = _weighted_sum(np.abs(terms), sums.denominator.weights).tolist()
     out = [
         WamEvaluation(z, num, den, None if abs(den) < POLE_RTOL * scale else num / den)
         for z, num, den, scale in zip(points, nums, dens, scales)
     ]
     return out if is_sequence else out[0]
-
-
-def wam_at(f: Factorization, s):
-    """wam of a factorization at complex s, or at each of a sequence of points.
-
-    >>> round(wam_at(factor(72), 0).value.real, 12)
-    2.5
-    """
-    return evaluate_wam(integer_wam_sums(f), s)
 
 
 def wam(n: int, s: complex) -> WamEvaluation:
@@ -253,15 +250,6 @@ def wam(n: int, s: complex) -> WamEvaluation:
 #: Largest n of the family m = 2^n (2^n - 1) that the library takes:
 #: factor's default budget splits every 2^n - 1 up to it.
 MERSENNE_N_MAX = 63
-
-
-def mersenne_factorization(n: int) -> Factorization:
-    """Factorization of m = 2^n * (2^n - 1), 2 <= n <= MERSENNE_N_MAX, from
-    the cached one of its odd part (mersenne_family factors 2^n - 1 too)."""
-    if not 2 <= n <= MERSENNE_N_MAX:
-        raise ValueError(f"n must lie in [2, {MERSENNE_N_MAX}], got {n}")
-    odd = factor(2**n - 1)
-    return Factorization(2**n * odd.value, (2, *odd.primes), (n, *odd.exponents))
 
 
 @dataclass(frozen=True)
@@ -298,16 +286,18 @@ class MersenneBound:
 def mersenne_lower_bound_check(n: int, s):
     """Check both divergence inequalities at s, one point or a 1-d sequence
     of points (a list of checks then, [] for no points); requires Re(s) < 1
-    and 2 <= n <= MERSENNE_N_MAX.  m is factored once, and wam evaluated
-    once, at the points and their distinct real parts."""
+    and 2 <= n <= MERSENNE_N_MAX, checked in that order.  2^n - 1 is factored
+    once, and wam evaluated once, at the points and their distinct real
+    parts, on the heights ln 2 and ln p of the odd primes p."""
     points, is_sequence = _points(s)
     for z in points:
         if z.real >= 1:
             raise ValueError(f"bounds hold for Re(s) < 1 only, got Re(s) = {z.real}")
-    f = mersenne_factorization(n)
-    odd = [(math.log(p), e) for p, e in f.pairs() if p != 2]
+    if not 2 <= n <= MERSENNE_N_MAX:
+        raise ValueError(f"n must lie in [2, {MERSENNE_N_MAX}], got {n}")
+    odd = [(math.log(p), e) for p, e in factor(2**n - 1).pairs()]
     reals = list(dict.fromkeys(z.real for z in points))
-    evs = wam_at(f, points + reals)
+    evs = wam_at(wam_sums([LN2, *(h for h, _ in odd)], [n, *(e for _, e in odd)]), points + reals)
     wam_real = {a: ev.value.real for a, ev in zip(reals, evs[len(points) :])}
     checks = []
     for z, ev in zip(points, evs):

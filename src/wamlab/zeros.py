@@ -28,7 +28,8 @@ REMOVABLE_RTOL = 1e-8
 #: rows up to _SEED_ROW_MAX points wide are evaluated in bands of two rows.
 _SEED_BLOCK = _PROBE_BLOCK = 1 << 16
 _SEED_ROW_MAX = 1 << 19
-#: Most values a seed grid evaluates: 7-23 s at m = 3 to 25 (2-vCPU x86-64).
+#: Most values a seed grid evaluates: 5-31 s at m = 3 to 25, the most where
+#: rows are 2 points wide (2-vCPU x86-64).
 _SEED_MAX_VALUES = 1 << 30
 #: Most Newton seeds: 0.4 KB (m = 3) to 1.3 KB (m = 25) each, so at most 0.7 GB.
 _MAX_SEEDS = 1 << 19
@@ -117,8 +118,8 @@ def _axis_size(lo: float, hi: float, step: float, most: float) -> int:
     """Number of grid points lo + k*step <= hi; MemoryError above `most`."""
     span = (hi - lo) / step + 1e-9
     if not span < most:
-        raise MemoryError(f"grid step {step} puts {span + 1:.4g} points on "
-                          f"[{lo}, {hi}]; at most {most} fit the memory budget")
+        raise MemoryError(f"grid step {step} puts over {most:.4g} points on [{lo}, {hi}], "
+                          "more than fit the memory budget; search a smaller rectangle")
     return int(span) + 1
 
 
@@ -135,7 +136,7 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     """
     step, m = region.grid_step, den.rates.size
     n_re = _axis_size(region.re_min, region.re_max, step, _SEED_ROW_MAX)
-    n_im = _axis_size(region.im_min, region.im_max, step, math.inf)
+    n_im = _axis_size(region.im_min, region.im_max, step, _SEED_MAX_VALUES)  # a row is >= 1 value
     if n_re < 2 or n_im < 2:
         raise ValueError("region is smaller than one grid cell")
     rows = max(2, _SEED_BLOCK // n_re)
@@ -268,7 +269,7 @@ def find_zeros(x: Sums, region: SearchRegion) -> ZeroSearch:
     # once |f| is widened by its rounding (as in critical_line_probe), so two
     # points of one zero lie within twice the larger step of each other.
     slope = np.abs(_weighted_sum(terms, den.weights * den.rates))
-    rounding = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    rounding = 8 * np.finfo(float).eps * _weighted_sum(np.abs(terms), den.weights)
     rounding *= np.abs(den.rates).max() * np.abs(pts) + den.rates.size
     newton = np.divide(residuals + rounding, slope, out=np.full(pts.shape, np.inf), where=slope > 0)
     kept = _dedup(pts, residuals.tolist(), np.minimum(2 * newton, region.grid_step / 2))

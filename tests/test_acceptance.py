@@ -31,7 +31,6 @@ from wamlab.ffpoly import (
 )
 from wamlab.triples import generate_triples, max_wam_heatmap
 from wamlab.wamcore import (
-    mersenne_factorization,
     mersenne_lower_bound_check,
     wam,
     wam_at,
@@ -311,8 +310,8 @@ def test_criterion_08_identity_suite():
 
 
 def test_criterion_09_divergence_direction():
-    small = wam_at(mersenne_factorization(5), 0.5).value.real
-    large = wam_at(mersenne_factorization(60), 0.5).value.real
+    small = mersenne_lower_bound_check(5, 0.5).wam.real
+    large = mersenne_lower_bound_check(60, 0.5).wam.real
     cyclo = [abs(cyclotomic_wam_formula(p, 0.5).value) for p in (5, 11, 31, 101)]
     increasing = all(x < y for x, y in zip(cyclo, cyclo[1:]))
     verdict(

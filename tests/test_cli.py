@@ -103,7 +103,7 @@ class TestScalarCommands:
     def test_cyclo_value(self):
         code, out, _ = run(["cyclo", "--p", "5", "--s", "1"])
         assert code == 0
-        assert abs(float(body_lines(out)[0]) - 11 / 7) < 1e-12
+        assert abs(float(body_lines(out)[0]) - 5 / 3) < 1e-12
 
     @pytest.mark.parametrize("s,value", [("2000", 1.0), ("-2000", 3.0), ("700,30", 1.0)])
     def test_cyclo_large_exponents(self, s, value):
@@ -578,6 +578,7 @@ class TestExitCodes:
             ["critical-line", "30030", "--bmax", "1e308"],
             ["critical-line", "30030", "--bmax", "10", "--samples", str(10**18)],
             ["zeros", "30", "--im", "0:1e9", "--step", "0.5"],
+            ["zeros", "30", "--re", "-1:2", "--im", "0:1e308"],  # too many points to count
         ],
     )
     def test_oversized_grids_are_refused_before_allocation(self, argv):
@@ -590,6 +591,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("wamlab:")
         assert peak < 8 * 2**20
+
+    def test_an_axis_too_long_to_count_names_the_budget(self):
+        code, _, err = run(["zeros", "30", "--re", "-1:2", "--im", "0:1e308"])
+        assert code == 2
+        assert "over 1.074e+09 points on [0.0, 1e+308]" in err
+        assert err.rstrip().endswith("search a smaller rectangle")
+        assert "inf" not in err
 
     @pytest.mark.parametrize(
         "argv,names",

@@ -29,7 +29,7 @@ from wamlab.ffpoly import (
 )
 from wamlab.arith import mobius
 from wamlab.ffpoly import _distinct_degree, _ldivmod, _lgcd, _llist, _lmul, _lsub, _ModRing
-from wamlab.wamcore import evaluate_wam, wam_sums
+from wamlab.wamcore import wam_at, wam_sums
 
 FIELD_SIZES = (2, 3, 5, 7, 13)
 #: The (q, n) of the benchmark's poly-triple runs.
@@ -589,7 +589,7 @@ def product_route_wam(t, s):
     """poly_wam by factoring the product a*b*c, of degree up to 3n."""
     f = poly_factor(t.a * t.b * t.c)
     heights = [float(p.degree) for p, _ in f.factors]
-    return evaluate_wam(wam_sums(heights, [e for _, e in f.factors]), s)
+    return wam_at(wam_sums(heights, [e for _, e in f.factors]), s)
 
 
 class TestPolyWam:
@@ -604,6 +604,18 @@ class TestPolyWam:
         for _ in range(20):
             t = random_poly_triple(rng, rng.choice((2, 3, 5)), 10)
             assert poly_wam(t, 1.0) == product_route_wam(t, 1.0)
+
+    def test_pole_scale_counts_every_factor(self):
+        # (1, x^5 + 1, x^5) over F_2 has degrees 1, 1 and 4: W = (2, 1), and
+        # the denominator 2 + 4^s vanishes at s0.  Just off s0, |den| =
+        # 1.66e-12 lies below 1e-12 * (2 |1^s| + |4^s|) = 2.0e-12, though
+        # above 1e-12 * (|1^s| + |4^s|) = 1.5e-12.
+        one, x5 = FpPoly.one(2), FpPoly.x_power(2, 5)
+        t = validate_poly_triple(one, x5 + one, x5)
+        s0 = complex(math.log(2), math.pi) / math.log(4)
+        ev = poly_wam(t, s0 + 1.2e-12)
+        assert 1.5e-12 < abs(ev.denominator) < 2.0e-12
+        assert ev.is_pole
 
     def test_linear_triple_is_constant_one(self):
         t = validate_poly_triple(
@@ -653,9 +665,21 @@ class TestMasonStothers:
 
 class TestCyclotomicFormula:
     def test_known_values(self):
-        assert abs(cyclotomic_wam_formula(5, 1.0).value - 11 / 7) < 1e-12
+        # (p + 1 + (p - 1)^s) / ((p - 1)^s + 2)
+        assert abs(cyclotomic_wam_formula(5, 1.0).value - 5 / 3) < 1e-12
+        assert abs(cyclotomic_wam_formula(5, 0.5).value - 2.0) < 1e-12
         assert abs(cyclotomic_wam_formula(5, 0.0).value - 7 / 3) < 1e-12
-        assert abs(cyclotomic_wam_formula(2, 1.0).value - 5 / 4) < 1e-12
+        assert abs(cyclotomic_wam_formula(3, 1.0).value - 3 / 2) < 1e-12
+        assert abs(cyclotomic_wam_formula(2, 1.0).value - 4 / 3) < 1e-12
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])
+    def test_equals_the_wam_of_the_triple(self, p, q):
+        # q is a primitive root mod p, so x^p - 1 = (x - 1) Phi_p over F_q
+        # with Phi_p irreducible of degree p - 1.
+        one, xp = FpPoly.one(q), FpPoly.x_power(q, p)
+        t = validate_poly_triple(one, xp - one, xp)
+        for s in (1.0, 0.5, complex(2, 3), complex(-1.5, 0.7)):
+            assert cyclotomic_wam_formula(p, s) == poly_wam(t, s)
 
     def test_magnitude_grows_with_characteristic(self):
         values = [
@@ -666,7 +690,7 @@ class TestCyclotomicFormula:
 
     def test_pole_location(self):
         p = 5
-        s = complex(math.log(2) / math.log(p), math.pi / math.log(p))
+        s = complex(math.log(2), math.pi) / math.log(p - 1)
         ev = cyclotomic_wam_formula(p, s)
         assert ev.is_pole
         assert ev.value is None
@@ -675,8 +699,8 @@ class TestCyclotomicFormula:
     def test_large_exponents_match_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
-            ps = mpmath.power(5, mpmath.mpc(s))
-            want = complex((5 + ps + 1) / (ps + 2))
+            ps = mpmath.power(4, mpmath.mpc(s))
+            want = complex((5 + 1 + ps) / (ps + 2))
         got = cyclotomic_wam_formula(5, s).value
         assert abs(got - want) <= 1e-13 * abs(want)
 

@@ -26,7 +26,7 @@ from wamlab.triples import (
     write_dataset,
 )
 from wamlab import triples as triples_module
-from wamlab.wamcore import ExpSum, WamSums, mersenne_factorization, wam_at
+from wamlab.wamcore import ExpSum, WamSums, wam_at
 from wamlab.zeros import SearchRegion
 
 
@@ -293,7 +293,7 @@ def two_product_cells(triples, grid):
     """The reference for the cells of grid, and how ill-conditioned each
     is, point by point: at every s of the grid, mirrored rows included,
     each triple's numerator and denominator are two products with the
-    shifted terms of s, as in evaluate_wam, and the largest |N|/|D| over
+    shifted terms of s, as in wam_at, and the largest |N|/|D| over
     the triples, capped, is the cell.  The condition of a cell is
     sum_k |terms| / |D| of the triple that attains it."""
     s = (grid.re_axis[None, :] + 1j * grid.im_axis[:, None]).ravel()
@@ -502,7 +502,7 @@ class TestMersenneFamily:
         assert len(family) == 62
         for n, t in enumerate(family, start=2):
             assert t.c == 2**n
-            assert t.abc_factorization == mersenne_factorization(n)
+            assert t.abc_factorization == factor(2**n * (2**n - 1))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

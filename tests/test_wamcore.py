@@ -14,14 +14,14 @@ import hypothesis.strategies as st
 
 from conftest import factorizations, grid_table
 from wamlab.arith import factor, radical
-from wamlab import triples, wamcore, zeros
+from wamlab import cli, triples, wamcore, zeros
+from wamlab.triples import mersenne_family
 from wamlab.wamcore import (
+    MERSENNE_N_MAX,
     EmptyFactorization,
     ExpSum,
     _serial_product,
-    evaluate_wam,
     integer_wam_sums,
-    mersenne_factorization,
     mersenne_lower_bound_check,
     wam,
     wam_at,
@@ -155,7 +155,7 @@ class TestPoles:
 
     def test_pole_threshold_scales_with_sum_size(self):
         ws = integer_wam_sums(factor(72))
-        ev = evaluate_wam(ws, FIRST_TWO_TERM_ZERO)
+        ev = wam_at(ws, FIRST_TWO_TERM_ZERO)
         assert ev.is_pole
 
 
@@ -181,7 +181,7 @@ class TestDomain:
     def test_largest_accepted_points_stay_finite(self, s):
         # The widest spread of rates: the smallest and largest positive doubles.
         sums = wam_sums([5e-324, math.log(2), 1.7e308], [1, 2, 1])
-        ev = evaluate_wam(sums, s)
+        ev = wam_at(sums, s)
         assert ev.value is None or np.isfinite(ev.value)
         assert np.isfinite(ev.numerator) and np.isfinite(ev.denominator)
 
@@ -230,7 +230,7 @@ class TestMergedHeights:
         heights, exps = [2.0, 1.0, 2.0, 5.0, 5.0, 5.0], [1, 3, 2, 1, 1, 4]
         num = sum(e * h**s for h, e in zip(heights, exps))
         den = sum(h**s for h in heights)
-        value = evaluate_wam(wam_sums(heights, exps), s).value
+        value = wam_at(wam_sums(heights, exps), s).value
         assert abs(value - num / den) <= 1e-13 * abs(num / den)
 
 
@@ -266,20 +266,24 @@ def one_point_sums(sums, s):
 
 
 class TestBatchedEvaluation:
-    """evaluate_wam over a sequence: each point as it is alone, bit for bit."""
+    """wam_at over a sequence: each point as it is alone, bit for bit."""
 
     @given(factorizations(), st.lists(POINTS, max_size=12))
     @example(factor(72), [0.5, FIRST_TWO_TERM_ZERO, 0.5])
     def test_each_point_gets_the_bits_it_gets_alone(self, f, pts):
         sums = integer_wam_sums(f)
-        batch = evaluate_wam(sums, pts)
+        batch = wam_at(sums, pts)
         assert isinstance(batch, list) and len(batch) == len(pts)
         for s, ev in zip(pts, batch):
-            alone = evaluate_wam(sums, s)
+            alone = wam_at(sums, s)
             assert ev.s == alone.s == complex(s)
             assert ev.value == alone.value and ev.is_pole == alone.is_pole
             assert ev.numerator == alone.numerator and ev.denominator == alone.denominator
             assert (ev.numerator, ev.denominator) == one_point_sums(sums, s)
+
+    @given(factorizations(), st.lists(POINTS, max_size=12))
+    def test_a_factorization_evaluates_as_its_sums(self, f, pts):
+        assert wam_at(integer_wam_sums(f), pts) == wam_at(f, pts)
 
     @given(factorizations(), st.lists(POINTS, min_size=1, max_size=12))
     @example(factor(6), [complex(-1500, -7), 0.5, complex(-1500, -7), complex(-2000, -7)])
@@ -298,21 +302,21 @@ class TestBatchedEvaluation:
 
     def test_sequence_types(self):
         sums = integer_wam_sums(factor(72))
-        want = evaluate_wam(sums, [0.5, 2j])
-        assert evaluate_wam(sums, (0.5, 2j)) == want
-        assert evaluate_wam(sums, np.array([0.5, 2j])) == want
-        assert evaluate_wam(sums, np.complex128(0.5)) == want[0]
+        want = wam_at(sums, [0.5, 2j])
+        assert wam_at(sums, (0.5, 2j)) == want
+        assert wam_at(sums, np.array([0.5, 2j])) == want
+        assert wam_at(sums, np.complex128(0.5)) == want[0]
 
     def test_no_points_give_an_empty_list(self):
         sums = integer_wam_sums(factor(72))
-        assert evaluate_wam(sums, []) == []
-        assert evaluate_wam(sums, np.array([], dtype=complex)) == []
+        assert wam_at(sums, []) == []
+        assert wam_at(sums, np.array([], dtype=complex)) == []
         assert wam_at(factor(72), ()) == []
         assert mersenne_lower_bound_check(5, []) == []
 
     def test_more_than_one_axis_is_refused(self):
         with pytest.raises(ValueError, match="1-d"):
-            evaluate_wam(integer_wam_sums(factor(72)), [[0.5, 1.0]])
+            wam_at(integer_wam_sums(factor(72)), [[0.5, 1.0]])
 
     @pytest.mark.parametrize("bad", BAD_POINTS[:2] + BAD_POINTS[4:])
     @pytest.mark.parametrize("at", [0, 1, 2])
@@ -325,7 +329,7 @@ class TestBatchedEvaluation:
         pts = [0.5, 2j]
         pts.insert(at, bad)
         with pytest.raises(ValueError):
-            evaluate_wam(integer_wam_sums(factor(72)), pts)
+            wam_at(integer_wam_sums(factor(72)), pts)
         assert evaluated == []
 
 
@@ -645,11 +649,6 @@ class TestTopMultiplicityBound:
 
 
 class TestMersenneBound:
-    def test_factorization_helper(self):
-        f = mersenne_factorization(11)
-        assert f.value == 2048 * 2047
-        assert f.primes == (2, 23, 89)
-
     def test_holds_at_half(self):
         report = mersenne_lower_bound_check(11, 0.5)
         assert report.holds
@@ -664,12 +663,18 @@ class TestMersenneBound:
         report = mersenne_lower_bound_check(4, 0.9 + 1j)
         assert report.holds
 
-    @pytest.mark.parametrize("s", [0.5, 0.0, -1.0 + 3.0j, 0.9 + 5.0j, -7000.0 + 2.0j])
-    def test_reports_the_wam_value_it_checks(self, s):
-        for n in (2, 11, 40, 63):
-            report = mersenne_lower_bound_check(n, s)
-            assert report.wam == wam_at(mersenne_factorization(n), s).value
-            assert report.goal_lhs == abs(report.wam)
+    def test_reports_the_wam_of_each_triple_it_checks(self):
+        # The check's sums on ln 2 and the odd primes' ln p are the integer
+        # sums of abc, bit for bit: at every n, at every bounds-check point
+        # and where the terms underflow.
+        points = [complex(re, im) for re in cli.BOUNDS_RE_GRID for im in cli.BOUNDS_IM_GRID]
+        assert len(points) == 12
+        points += [-1.0 + 3.0j, 0.9 + 5.0j, -7000.0 + 2.0j]
+        for n, t in enumerate(mersenne_family(MERSENNE_N_MAX), start=2):
+            reports = mersenne_lower_bound_check(n, points)
+            for report, ev in zip(reports, wam_at(t.abc_factorization, points), strict=True):
+                assert report.wam == ev.value
+                assert report.goal_lhs == abs(report.wam)
 
     def test_margins_positive_on_sample(self):
         for n in (2, 5, 11, 25, 40):
@@ -690,17 +695,9 @@ class TestMersenneBound:
             mersenne_lower_bound_check(11, s)
 
     def test_growth_along_the_family(self):
-        small = wam_at(mersenne_factorization(5), 0.5).value.real
-        large = wam_at(mersenne_factorization(60), 0.5).value.real
+        small = mersenne_lower_bound_check(5, 0.5).wam.real
+        large = mersenne_lower_bound_check(60, 0.5).wam.real
         assert large > small
-
-    @pytest.mark.parametrize("n", [2, 3, 11, 29, 61, 62, 63])
-    def test_factorization_from_the_odd_part(self, monkeypatch, n):
-        want = factor(2**n * (2**n - 1))
-        factored = []
-        monkeypatch.setattr(wamcore, "factor", lambda m: factored.append(m) or factor(m))
-        assert mersenne_factorization(n) == want
-        assert factored == [2**n - 1]
 
     @given(st.integers(2, 63), st.lists(POINTS_LEFT_OF_ONE, max_size=12))
     def test_a_sequence_checks_as_each_point_alone(self, n, pts):
@@ -725,6 +722,16 @@ class TestMersenneBound:
         with pytest.raises(ValueError):
             mersenne_lower_bound_check(11, [0.5, bad, -1.0])
         assert called == []
+
+    @pytest.mark.parametrize("bad", BAD_POINTS)
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_a_bad_point_raises_before_a_bad_n(self, bad, n):
+        with pytest.raises(ValueError) as point_error:
+            mersenne_lower_bound_check(11, [0.5, bad])
+        with pytest.raises(ValueError) as both:
+            mersenne_lower_bound_check(n, [0.5, bad])
+        assert str(both.value) == str(point_error.value)
+        assert "n must lie" not in str(both.value)
 
     @pytest.mark.parametrize("a", [-8000.0, -1e6])
     def test_lemma_holds_where_both_printed_sides_underflow(self, a):
