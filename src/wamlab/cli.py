@@ -234,22 +234,12 @@ def _cmd_zeros(args, out: _Output):
     out.meta["n"] = args.n
     out.meta["region"] = f"re [{re_lo}:{re_hi}] im [{im_lo}:{im_hi}]"
     out.meta["grid_step"] = args.step
-    for key in (
-        "seeds", "converged", "no_convergence", "out_of_region", "deduplicated"
-    ):
+    for key in ("seeds", "converged", "no_convergence", "out_of_region", "deduplicated"):
         out.meta[key] = getattr(search, key)
     out.table(
         ["re", "im", "residual", "numerator_magnitude", "classification"],
-        [
-            [
-                r.location.real,
-                r.location.imag,
-                r.residual,
-                r.numerator_magnitude,
-                r.classification.value,
-            ]
-            for r in search.records
-        ],
+        [[r.location.real, r.location.imag, r.residual, r.numerator_magnitude, r.classification.value]
+         for r in search.records],
     )
 
 

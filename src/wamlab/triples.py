@@ -148,13 +148,6 @@ def parse_dataset(path: str | os.PathLike) -> DatasetParse:
     return DatasetParse(path)
 
 
-def write_dataset(path: str | os.PathLike, triples: Iterable[AbcTriple]) -> None:
-    """Write triples in the dataset format (ASCII, LF, one per line)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for t in triples:
-            fh.write(f"{t.a} {t.b} {t.c}\n")
-
-
 def _radical_sieve(limit: int) -> np.ndarray:
     """rad(x) for x in [0, limit] (rad(0) := 1), as int32: the primes up to
     sqrt(limit) are sieved and divided out, and the cofactor left, 1 or the

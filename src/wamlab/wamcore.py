@@ -48,7 +48,9 @@ _S_MAX = 1e305
 #: OpenBLAS (0.3.31, measured on a 2-vCPU x86-64 VM) runs a gemm on one
 #: thread while M·N·K stays below _GEMM_SERIAL and a gemv while M·N stays
 #: below _GEMV_SERIAL.  Above them it wakes its other threads, which then
-#: spin through the Python work that follows such small products.
+#: spin through the Python work that follows such small products.  No product
+#: needs a pool, so `import wamlab` before numpy loads OpenBLAS with one thread
+#: unless a thread count is set.
 _GEMM_SERIAL = 1 << 16
 _GEMV_SERIAL = 1 << 12
 
@@ -56,6 +58,8 @@ _GEMV_SERIAL = 1 << 12
 def _serial_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for 2-d a and b, into `out` when given, in row blocks that
     OpenBLAS runs on one thread: the grids and the critical-line tables.
+    With the one thread that `import wamlab` asks for, the blocks change nothing;
+    with a pool (a thread count set, or numpy imported first) they keep it idle.
 
     A block has the most rows under the bound (_GEMV_SERIAL for one column,
     _GEMM_SERIAL otherwise) less one, and at least 2, since numpy sends a

@@ -28,9 +28,12 @@ REMOVABLE_RTOL = 1e-8
 #: rows up to _SEED_ROW_MAX points wide are evaluated in bands of two rows.
 _SEED_BLOCK = _PROBE_BLOCK = 1 << 16
 _SEED_ROW_MAX = 1 << 19
-#: Most values a seed grid evaluates: 5-31 s at m = 3 to 25, the most where
-#: rows are 2 points wide (2-vCPU x86-64).
+#: Most values a seed grid evaluates, weighted by their time (2-vCPU x86-64): a
+#: point 1 (4.2 ns) plus _SEED_TERM_WEIGHT per term of its product (0.6 ns), a row
+#: _SEED_ROW_WEIGHT (18 ns) times 2m + 4, for its cosines, sines and own passes.
+#: At the cap a grid takes 3-7 s at m = 3 to 25, up to 14 s in rows over 2^15 points.
 _SEED_MAX_VALUES = 1 << 30
+_SEED_TERM_WEIGHT, _SEED_ROW_WEIGHT = 1 / 8, 4
 #: Most Newton seeds: 0.4 KB (m = 3) to 1.3 KB (m = 25) each, so at most 0.7 GB.
 _MAX_SEEDS = 1 << 19
 #: The critical-line scan tables every _PROBE_STRIDE-th sample.
@@ -129,10 +132,9 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
     The grid is evaluated as [Re f; Im f] tables, and its im axis built, in
     bands of at most _SEED_BLOCK points, or of two rows where rows are wider
     than half that; each band starts on the last row of the one before, so
-    no cell loses a corner.  A band evaluates its points and the 2m cosines
-    and sines of each row; each column's m exponentials are shared.  Rows wider
-    than _SEED_ROW_MAX, grids of over _SEED_MAX_VALUES values and over
-    _MAX_SEEDS seeds raise MemoryError.
+    no cell loses a corner, and each column's m exponentials are shared.
+    Rows wider than _SEED_ROW_MAX, grids of over _SEED_MAX_VALUES weighted
+    values and over _MAX_SEEDS seeds raise MemoryError.
     """
     step, m = region.grid_step, den.rates.size
     n_re = _axis_size(region.re_min, region.re_max, step, _SEED_ROW_MAX)
@@ -141,7 +143,8 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
         raise ValueError("region is smaller than one grid cell")
     rows = max(2, _SEED_BLOCK // n_re)
     bands = -(-(n_im - 1) // (rows - 1))  # each band after the first repeats one row
-    if (n_im + bands - 1) * (n_re + 2 * m) + n_re * m > _SEED_MAX_VALUES:
+    row = n_re * (1 + m * _SEED_TERM_WEIGHT) + _SEED_ROW_WEIGHT * (2 * m + 4)
+    if (n_im + bands - 1) * row + n_re * m > _SEED_MAX_VALUES:
         raise MemoryError(f"a seed grid of {n_re} x {n_im:.4g} points evaluates over "
                           f"{_SEED_MAX_VALUES} values; search a smaller rectangle")
     re = region.re_min + step * np.arange(n_re)

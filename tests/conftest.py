@@ -75,19 +75,22 @@ def factorizations(draw, min_m=1, max_m=4, max_exp=5):
     )
 
 
-def run_with_blas_threads(threads, args):
-    """Run `python args...` in a fresh interpreter whose BLAS uses `threads`
-    threads (OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads).
-
-    Skips unless numpy's BLAS is OpenBLAS: elsewhere the variable is ignored
-    and every run would use the same thread count.
-    """
+def require_openblas():
+    """Skip unless numpy's BLAS is OpenBLAS: elsewhere OPENBLAS_NUM_THREADS
+    is ignored and every run would use the same thread count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (TypeError, KeyError):  # numpy < 1.26 does not report its BLAS
         blas = "unknown"
     if "openblas" not in blas.lower():
         pytest.skip(f"OPENBLAS_NUM_THREADS does not reach numpy's BLAS ({blas})")
+
+
+def run_with_blas_threads(threads, args):
+    """Run `python args...` in a fresh interpreter whose BLAS uses `threads`
+    threads (OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads).
+    Skips unless numpy's BLAS is OpenBLAS."""
+    require_openblas()
     src = os.path.dirname(os.path.dirname(wamlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)

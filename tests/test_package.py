@@ -3,8 +3,15 @@
 import ast
 import dataclasses
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 import types
+
+import pytest
+from conftest import require_openblas
 
 import wamlab
 import wamlab.ffpoly
@@ -142,3 +149,61 @@ def test_the_benchmark_hooks_resolve():
         ("HeatmapGrid", "cap"),
         ("HeatmapGrid", "cells"),
     }
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Imports numpy and wamlab in the order argv[1] names, then prints OpenBLAS's
+# thread count, read from the library numpy loaded, and the thread variables
+# as this process and a child of it see them.
+POOL_SCRIPT = """
+import ctypes, glob, json, os, subprocess, sys
+for name in sys.argv[1].split(","):
+    __import__(name)
+import numpy
+threads = None
+for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None and threads is None:
+            fn.restype = ctypes.c_int
+            threads = fn()
+names = sys.argv[2:]
+show = "import json, os, sys; print(json.dumps([os.environ.get(n) for n in sys.argv[1:]]))"
+child = subprocess.run([sys.executable, "-c", show, *names], capture_output=True, text=True, check=True)
+print(json.dumps([threads, [os.environ.get(n) for n in names], json.loads(child.stdout)]))
+"""
+
+
+def blas_pool_after(imports, **variables):
+    """(OpenBLAS threads, the thread variables after the imports, the same in
+    a child process) for a fresh interpreter that imports the comma-separated
+    `imports` with only the given thread variables set."""
+    require_openblas()
+    src = os.path.dirname(os.path.dirname(wamlab.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT, imports, *BLAS_THREAD_VARIABLES],
+                          env=env, capture_output=True, text=True, check=True, timeout=60)
+    threads, inside, child = json.loads(proc.stdout)
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS exports no get_num_threads symbol")
+    return threads, inside, child
+
+
+def test_import_loads_blas_with_one_thread():
+    """No thread variable set: numpy loads with one OpenBLAS thread, and the
+    environment is left unset for the process and its children."""
+    unset = [None] * len(BLAS_THREAD_VARIABLES)
+    assert blas_pool_after("wamlab") == (1, unset, unset)
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_thread_count_the_user_sets_wins(name):
+    variables = [("2" if n == name else None) for n in BLAS_THREAD_VARIABLES]
+    assert blas_pool_after("wamlab", **{name: "2"}) == (2, variables, variables)
+
+
+def test_numpy_imported_first_keeps_its_pool():
+    default, _, _ = blas_pool_after("numpy")
+    assert blas_pool_after("numpy,wamlab")[0] == default

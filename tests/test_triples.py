@@ -23,7 +23,6 @@ from wamlab.triples import (
     mersenne_family,
     parse_dataset,
     validate_triple,
-    write_dataset,
 )
 from wamlab import triples as triples_module
 from wamlab.wamcore import ExpSum, WamSums, wam_at
@@ -243,7 +242,7 @@ class TestDatasets:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "triples.txt"
         triples = generate_triples(500, 1.0)
-        write_dataset(path, triples)
+        path.write_text("".join(f"{t}\n" for t in triples), encoding="ascii")
         parse = parse_dataset(path)
         back = list(parse)
         assert back == triples
@@ -271,11 +270,9 @@ class TestDatasets:
         for issue in parse.issues:
             assert issue.message
 
-    def test_written_file_is_plain_ascii(self, tmp_path):
-        path = tmp_path / "out.txt"
-        write_dataset(path, [validate_triple(1, 8, 9)])
-        raw = path.read_bytes()
-        assert raw == b"1 8 9\n"
+    def test_str_is_the_dataset_line(self):
+        """str(t) is t's "a b c" line, with a <= b, as a dataset stores it."""
+        assert str(validate_triple(8, 1, 9)).encode("ascii") == b"1 8 9"
 
 
 DATASET = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "triples_c10000.txt")

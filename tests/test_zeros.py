@@ -295,16 +295,18 @@ class TestSeedBands:
 
     @pytest.mark.parametrize("block", [300, 1 << 16])
     def test_grid_cap_bounds_the_values_evaluated(self, monkeypatch, block):
-        # A band of y rows and x columns evaluates its y x points and 2m
-        # cosines and sines a row; the m exponentials of each column are
-        # evaluated once for the whole grid.
+        # A band of y rows and x columns evaluates its y x points, each
+        # weighted for its m product terms, and 2m cosines and sines a row,
+        # weighted with the row's own passes; the m exponentials of each
+        # column are evaluated once for the whole grid.
         den = integer_wam_sums(factor(30)).denominator
         n_re, m = 71, den.rates.size
         rows, phases = [], ExpSum.phases
         monkeypatch.setattr(ExpSum, "phases", lambda es, y: rows.append(y.size) or phases(es, y))
         monkeypatch.setattr(zeros, "_SEED_BLOCK", block)
         seeds = _seed_points(den, self.REGION)
-        used = sum(rows) * (n_re + 2 * m) + n_re * m
+        row = n_re * (1 + m * zeros._SEED_TERM_WEIGHT) + zeros._SEED_ROW_WEIGHT * (2 * m + 4)
+        used = sum(rows) * row + n_re * m
         monkeypatch.setattr(zeros, "_SEED_MAX_VALUES", used)
         assert np.array_equal(_seed_points(den, self.REGION), seeds)
         monkeypatch.setattr(zeros, "_SEED_MAX_VALUES", used - 1)
