@@ -48,12 +48,12 @@ try:
     )
     from .triples import (
         AbcTriple,
+        DatasetParse,
         HeatmapGrid,
         em_histogram,
         generate_triples,
         max_wam_heatmap,
         mersenne_family,
-        parse_dataset,
         validate_triple,
     )
     from .wamcore import (
@@ -98,12 +98,12 @@ __all__ = [
     "poly_wam",
     "validate_poly_triple",
     "AbcTriple",
+    "DatasetParse",
     "HeatmapGrid",
     "em_histogram",
     "generate_triples",
     "max_wam_heatmap",
     "mersenne_family",
-    "parse_dataset",
     "validate_triple",
     "EmptyFactorization",
     "WamEvaluation",

@@ -36,11 +36,11 @@ from .ffpoly import (
 )
 from .triples import (
     DEFAULT_HEATMAP_CAP,
+    DatasetParse,
     em_histogram,
     generate_triples,
     max_wam_heatmap,
     mersenne_family,
-    parse_dataset,
 )
 from .wamcore import MERSENNE_N_MAX, mersenne_lower_bound_check, wam_at
 from .zeros import SearchRegion, critical_line_probe, find_zeros
@@ -180,7 +180,7 @@ class _Output:
 
 def _load_triples(args, out: _Output):
     if args.triples is not None:
-        parse = parse_dataset(args.triples)
+        parse = DatasetParse(args.triples)
         triples = list(parse)
         for issue in parse.issues:
             print(

@@ -143,11 +143,6 @@ class DatasetParse:
                     )
 
 
-def parse_dataset(path: str | os.PathLike) -> DatasetParse:
-    """Open an "a b c" dataset for streaming; see DatasetParse."""
-    return DatasetParse(path)
-
-
 def _radical_sieve(limit: int) -> np.ndarray:
     """rad(x) for x in [0, limit] (rad(0) := 1), as int32: the primes up to
     sqrt(limit) are sieved and divided out, and the cofactor left, 1 or the

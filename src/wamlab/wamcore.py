@@ -93,6 +93,16 @@ def _weighted_sum(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _majorant(f: ExpSum, moduli: np.ndarray, order: int = 0) -> np.ndarray:
+    """sum_k |w_k r_k^order| moduli[..., k]: bounds |f^(order)| where no term's modulus exceeds moduli."""
+    return _weighted_sum(moduli, np.abs(f.weights * f.rates**order))
+
+
+def _rounding(f: ExpSum, scale, z):
+    """8 eps scale (max_k |r_k| |z| + m): the most that rounding the phases r_k z and the sum moves f."""
+    return 8 * np.finfo(float).eps * scale * (np.abs(f.rates).max() * np.abs(z) + f.rates.size)
+
+
 def as_complex(s) -> complex:
     """Validate and coerce an evaluation point; NaN, inf and points with
     |Re s| or |Im s| above 1e305 (where r_k s could overflow) are rejected."""
@@ -235,7 +245,7 @@ def wam_at(x: Sums, s):
     terms = sums.denominator.shifted_terms(np.array(points, dtype=complex))[0]  # numerator's too
     nums = _weighted_sum(terms, sums.numerator.weights).tolist()
     dens = _weighted_sum(terms, sums.denominator.weights).tolist()
-    scales = _weighted_sum(np.abs(terms), sums.denominator.weights).tolist()
+    scales = _majorant(sums.denominator, np.abs(terms)).tolist()
     out = [
         WamEvaluation(z, num, den, None if abs(den) < POLE_RTOL * scale else num / den)
         for z, num, den, scale in zip(points, nums, dens, scales)

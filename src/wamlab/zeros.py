@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .critical import critical_abscissa
-from .wamcore import ExpSum, Sums, _serial_product, _weighted_sum, as_sums
+from .wamcore import ExpSum, Sums, _majorant, _rounding, _serial_product, _weighted_sum, as_sums
 
 #: |N(s)| below this multiple of sum_k E_k |h_k^s| marks a removable zero.
 REMOVABLE_RTOL = 1e-8
@@ -52,7 +52,9 @@ _COUNT_MAX_SEGMENTS = 1 << 24
 
 
 class BoundaryZero(RuntimeError):
-    """f is within rounding of 0 on the contour of a winding count."""
+    """f is within rounding of 0 on the contour of a winding count.  The
+    message names the point and rounding's reach there as a share of the term
+    scale: tiny at a zero on the contour, large where no jitter can help."""
 
 
 class Classification(str, Enum):
@@ -242,10 +244,11 @@ def find_zeros(x: Sums, region: SearchRegion) -> ZeroSearch:
     """Zeros of the denominator of wam inside the region.
 
     Every grid cell (default step 0.05) where both Re f and Im f change
-    sign seeds a Newton run; converged points are filtered to the region,
-    deduplicated within twice their Newton step |f/f'| (smaller residual
-    wins), and classified pole/removable by the relative size of the
-    numerator.
+    sign seeds a Newton run.  Converged points are filtered to the region,
+    merged within twice their Newton step |f/f'|, with |f| widened by
+    _rounding (a point lies within that step of its zero), but at most half
+    the grid step; the smaller residual wins.  Each is classified
+    pole/removable by the relative size of the numerator.
 
     >>> from wamlab.arith import factor
     >>> search = find_zeros(factor(6), SearchRegion(-1.0, 1.0, 0.0, 10.0))
@@ -266,14 +269,9 @@ def find_zeros(x: Sums, region: SearchRegion) -> ZeroSearch:
     terms = den.shifted_terms(pts)[0]  # the numerator's terms too
     residuals = np.abs(_weighted_sum(terms, den.weights))
     num = np.abs(_weighted_sum(terms, sums.numerator.weights))
-    removable = num < REMOVABLE_RTOL * _weighted_sum(np.abs(terms), sums.numerator.weights)
-
-    # A converged point lies within its Newton step |f / f'| of its zero,
-    # once |f| is widened by its rounding (as in critical_line_probe), so two
-    # points of one zero lie within twice the larger step of each other.
+    removable = num < REMOVABLE_RTOL * _majorant(sums.numerator, np.abs(terms))
     slope = np.abs(_weighted_sum(terms, den.weights * den.rates))
-    rounding = 8 * np.finfo(float).eps * _weighted_sum(np.abs(terms), den.weights)
-    rounding *= np.abs(den.rates).max() * np.abs(pts) + den.rates.size
+    rounding = _rounding(den, _majorant(den, np.abs(terms)), pts)
     newton = np.divide(residuals + rounding, slope, out=np.full(pts.shape, np.inf), where=slope > 0)
     kept = _dedup(pts, residuals.tolist(), np.minimum(2 * newton, region.grid_step / 2))
     dedup_dropped = int(pts.size - len(kept))
@@ -300,24 +298,22 @@ def argument_principle_count(x: Sums, region: SearchRegion) -> int:
 
     The count is the winding number of g(s) = e^(-cs) f(s) round the
     boundary, c the midpoint of the rates: g has the zeros of f and a
-    smaller slope.  On a segment [z0, z1], |g'| is at most
-    L = sum_k |w_k (r_k - c)| max(|e^((r_k - c) z0)|, |e^((r_k - c) z1)|).
-    Where L |z1 - z0| plus the rounding slack stays below the larger of
-    |g(z0)| and |g(z1)|, g keeps within a half-plane along the segment and
-    the principal argument of g(z1)/g(z0) is its exact turn; every other
-    segment is halved (X. Ying and I. N. Katz, Numer. Math. 53, 1988).
-    Segments carry g at their ends, so each point is evaluated once, and
-    are tested from a stack, in blocks of at most _SEED_BLOCK terms.
-    BoundaryZero is raised where |g| is within rounding of 0 on the
-    boundary, and MemoryError past _COUNT_MAX_SEGMENTS segments.
+    smaller slope.  On a segment [z0, z1], |g'| is at most L, the order-1
+    _majorant of each term's largest modulus on it.  Where L |z1 - z0| plus
+    the _rounding slack stays below the larger of |g(z0)| and |g(z1)|, g
+    keeps within a half-plane along the segment and the principal argument
+    of g(z1)/g(z0) is its exact turn; every other segment is halved (X. Ying
+    and I. N. Katz, Numer. Math. 53, 1988).  Segments carry g at their ends,
+    so each point is evaluated once, and are tested from a stack, in blocks
+    of at most _SEED_BLOCK terms.  BoundaryZero is raised where |g| is
+    within rounding of 0 on the boundary, and MemoryError past
+    _COUNT_MAX_SEGMENTS segments.
     """
     den = as_sums(x).denominator
     if len(den.weights) < 2:
         raise ValueError("argument principle requires at least two heights")
     g = ExpSum(den.weights, den.rates - 0.5 * (den.rates.max() + den.rates.min()))
-    slopes, weights, m = np.abs(g.weights * g.rates), np.abs(g.weights), g.rates.size
-    rounding, rmax = 8 * np.finfo(float).eps, np.abs(g.rates).max()
-    block = max(1, _SEED_BLOCK // (2 * m))  # segments whose two ends have _SEED_BLOCK term moduli
+    block = max(1, _SEED_BLOCK // (2 * g.rates.size))  # segments whose two ends have _SEED_BLOCK term moduli
 
     def ends(z):
         """Rows (z, g(z) in units of e^sigma, sigma) for the points z."""
@@ -335,19 +331,21 @@ def argument_principle_count(x: Sums, region: SearchRegion) -> int:
         tested += len(a)
         if tested > _COUNT_MAX_SEGMENTS:
             raise MemoryError(f"the winding count tests at most {_COUNT_MAX_SEGMENTS} segments")
-        # Both ends in the units of the larger of their shifts; the term
-        # moduli e^(r_k Re z) need no complex exponential.
+        # Both ends in the units of the larger of their shifts; each term's
+        # modulus peaks at the right end where r_k > 0, the left where r_k < 0.
         (za, ga, sa), (zb, gb, sb) = a.T, b.T
         top = np.maximum(sa.real, sb.real)
         v0, v1 = ga * np.exp(sa.real - top), gb * np.exp(sb.real - top)
-        x = np.concatenate([za.real, zb.real])
-        mods = np.exp(np.multiply.outer(x, g.rates) - np.tile(top, 2)[:, None])
-        slope = _weighted_sum(mods.reshape(2, -1, m).max(axis=0), slopes) * np.abs(zb - za)
-        scale = _weighted_sum(mods, weights).reshape(2, -1).max(axis=0)
-        slack = rounding * (rmax * np.maximum(np.abs(za), np.abs(zb)) + m) * scale
+        peak = np.maximum(np.multiply.outer(za.real, g.rates), np.multiply.outer(zb.real, g.rates))
+        maxima = np.exp(peak - top[:, None])
+        scale, slope = _majorant(g, maxima), _majorant(g, maxima, 1) * np.abs(zb - za)
+        slack = _rounding(g, scale, np.maximum(np.abs(za), np.abs(zb)))
         ok = slope + slack < np.maximum(np.abs(v0), np.abs(v1))
-        if np.any(~ok & (slope <= slack)):
-            raise BoundaryZero("denominator vanishes on the contour; jitter the rectangle")
+        if np.any(stuck := ~ok & (slope <= slack)):
+            i = np.argmax(stuck)
+            z, share = complex(za[i] + zb[i]) / 2, slack[i] / scale[i]
+            raise BoundaryZero(f"f is within rounding of 0 near s = {z} on the contour; rounding moves "
+                               f"it by {share:.3g} of its term scale: jitter the rectangle if that is small")
         turn += np.angle(v1[ok] * v0[ok].conj()).sum()
         if not ok.all():
             mid = ends(0.5 * (a[~ok, 0] + b[~ok, 0]))
@@ -381,16 +379,15 @@ def critical_line_probe(x: Sums, b_max: float, samples: int) -> CriticalLineProb
 
     The scan runs in blocks of at most 2^16 samples, each one product of
     the weighted terms of every K-th sample and the shifted terms of the
-    offsets.  |f| has slope at most
-    L = sum_k |w_k r_k| e^(r_k a - sigma) in the kernel's units, so between
-    tabled samples i < j it stays above (|f_i| + |f_j| - L (j - i) step) / 2;
-    the samples inside are tabled only where that bound, less the rounding
-    slack, does not exceed the least value seen.  K is _PROBE_STRIDE, so
-    every interval has the same length, and a tail of k < K samples uses
-    the first k - 1 offsets; K = 1 would be the exhaustive scan.  Every
-    tabled sample that kernel rounding could make the minimum is evaluated
-    pointwise, in one call per block, so the result does not depend on the
-    blocks, on K or on the BLAS kernel.
+    offsets.  |f| has slope at most L, the order-1 _majorant on the line, so
+    between tabled samples i < j it stays above
+    (|f_i| + |f_j| - L (j - i) step) / 2.  The samples inside are tabled only
+    where that bound, less the _rounding slack at b, does not exceed the
+    least value seen.  K is _PROBE_STRIDE, so every interval has the same
+    length, and a tail of k < K samples uses the first k - 1 offsets; K = 1
+    would be the exhaustive scan.  Every tabled sample that kernel rounding
+    could make the minimum is evaluated pointwise, in one call per block, so
+    the result does not depend on the blocks, on K or on the BLAS kernel.
     """
     den = (sums := as_sums(x)).denominator
     if den.rates.size < 3:
@@ -404,11 +401,10 @@ def critical_line_probe(x: Sums, b_max: float, samples: int) -> CriticalLineProb
     a = critical_abscissa(sums).a_crit
     step = b_max / samples
     terms, sigma = den.shifted_terms(a)
-    scale = _weighted_sum(terms, np.abs(den.weights))  # in the kernel's units
+    scale = _majorant(den, terms)  # in the kernel's units
     if not sigma + math.log(scale) < math.log(np.finfo(float).max):  # |f| <= scale e^sigma
         raise ValueError(f"a_crit = {a!r} is too large: |f| on the critical line overflows")
-    lip = _weighted_sum(terms, np.abs(den.weights * den.rates))
-    rmax, floor = np.abs(den.rates).max(), 8 * np.finfo(float).eps * scale
+    lip = _majorant(den, terms, 1)
     unit = math.exp(-sigma)  # from |f| to the kernel's units
     best, best_k, lo = math.inf, 0, 0
     shifts = np.exp(np.multiply.outer(den.rates, 1j * step * np.arange(1, _PROBE_STRIDE)))
@@ -420,10 +416,9 @@ def critical_line_probe(x: Sums, b_max: float, samples: int) -> CriticalLineProb
         u_terms = den.shifted_terms(1j * step * heads)[0] * den.weights  # sigma = 0 there
         v_terms = den.shifted_terms(a + 1j * step * k * np.arange(width))[0]
         coarse = np.abs(_serial_product(u_terms, v_terms.T)).ravel()[: n + 1]
-        # Kernel and pointwise values differ by the rounding of the phases
-        # r_k b and of the sum, by at most slack / 2; `least` bounds the
-        # pointwise minimum from above, in the kernel's units.
-        slack = floor * (rmax * step * (lo + k * n) + den.rates.size)
+        # Kernel and pointwise values differ by at most slack / 2; `least`
+        # bounds the pointwise minimum from above, in the kernel's units.
+        slack = _rounding(den, scale, step * (lo + k * n))
         least = min(best * unit, coarse.min() + slack / 2)
         bound = 0.5 * (coarse[:-1] + coarse[1:] - lip * k * step)
         live = np.flatnonzero(bound - slack <= least)

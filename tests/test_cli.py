@@ -294,7 +294,7 @@ class TestHeatmapCommand:
         argv = ["heatmap", "--triples", dataset, "--re", "-6:6", "--im", im, "--step", "0.04"]
         text = run_file(tmp_path, [*argv, "--format", fmt])
         lo, hi = map(float, im.split(":"))
-        grid = max_wam_heatmap(list(triples.parse_dataset(dataset)), SearchRegion(-6.0, 6.0, lo, hi, 0.04))
+        grid = max_wam_heatmap(list(triples.DatasetParse(dataset)), SearchRegion(-6.0, 6.0, lo, hi, 0.04))
         assert grid.mirrored == (150 if im == "-6:6" else 0)
         header = ["im\\re"] + [_fmt(v) for v in grid.re_axis]
         rows = [[y] + row for y, row in zip(grid.im_axis.tolist(), grid.cells.tolist())]

@@ -52,6 +52,34 @@ def test_the_analytic_layer_does_not_import_arith():
         assert not {m for m in modules if m == "wamlab.arith" or m.startswith("wamlab.arith.")}, name
 
 
+def eps_reads(tree: ast.AST) -> list[str | None]:
+    """The innermost function around each read of `finfo(...).eps` or
+    `float_info.epsilon` in tree (None at module level)."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("eps", "epsilon"):
+            owner = node.value.func if isinstance(node.value, ast.Call) else node.value
+            if (dotted(owner) or "").endswith("finfo" if node.attr == "eps" else "float_info"):
+                found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_rounding_slack_has_one_home():
+    """Machine epsilon, the unit of every rounding slack, is read only in
+    wamcore._rounding, so the certificates share one slack."""
+    package = pathlib.Path(wamlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = [(name, fn) for name, tree in trees.items() for fn in eps_reads(tree)]
+    assert reads == [("wamcore.py", "_rounding")]
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -14,6 +14,7 @@ from wamlab.arith import factor, radical
 from wamlab.triples import (
     GENERATE_C_MAX_LIMIT,
     AbcTriple,
+    DatasetParse,
     NotATriple,
     NotCoprime,
     _radical_sieve,
@@ -21,7 +22,6 @@ from wamlab.triples import (
     generate_triples,
     max_wam_heatmap,
     mersenne_family,
-    parse_dataset,
     validate_triple,
 )
 from wamlab import triples as triples_module
@@ -243,7 +243,7 @@ class TestDatasets:
         path = tmp_path / "triples.txt"
         triples = generate_triples(500, 1.0)
         path.write_text("".join(f"{t}\n" for t in triples), encoding="ascii")
-        parse = parse_dataset(path)
+        parse = DatasetParse(path)
         back = list(parse)
         assert back == triples
         assert parse.issues == []
@@ -251,19 +251,19 @@ class TestDatasets:
     def test_comments_and_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# header\n\n1 8 9\n   \n3 125 128  # inline note\n")
-        back = list(parse_dataset(path))
+        back = list(DatasetParse(path))
         assert [(t.a, t.b, t.c) for t in back] == [(1, 8, 9), (3, 125, 128)]
 
     def test_crlf_lines_parse(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"1 8 9\r\n3 125 128\r\n")
-        back = list(parse_dataset(path))
+        back = list(DatasetParse(path))
         assert len(back) == 2
 
     def test_bad_lines_are_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 8 9\n1 2 4\nnot numbers here\n2 4\n5 27 32\n")
-        parse = parse_dataset(path)
+        parse = DatasetParse(path)
         good = list(parse)
         assert [(t.a, t.b, t.c) for t in good] == [(1, 8, 9), (5, 27, 32)]
         assert [issue.line_number for issue in parse.issues] == [2, 3, 4]
@@ -337,7 +337,7 @@ class TestHeatmap:
     REGION = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.1)
 
     def test_dataset_grid_equals_two_products(self):
-        triples = list(parse_dataset(DATASET))
+        triples = list(DatasetParse(DATASET))
         assert len(triples) == 122
         grid = max_wam_heatmap(triples, SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04))
         assert grid.cells.shape == (301, 301)
@@ -383,7 +383,7 @@ class TestHeatmap:
         grid_factors, product = ExpSum.grid_factors, triples_module._serial_product
         monkeypatch.setattr(ExpSum, "grid_factors", lambda *a: factored.append(a) or grid_factors(*a))
         monkeypatch.setattr(triples_module, "_serial_product", lambda *a, **k: products.append(a) or product(*a, **k))
-        triples = list(parse_dataset(DATASET))
+        triples = list(DatasetParse(DATASET))
         max_wam_heatmap(triples, self.REGION)
         distinct = {t.abc_factorization.primes for t in triples}
         assert len(factored) == len(distinct) == 68
@@ -408,7 +408,7 @@ class TestHeatmap:
         # The [Re; Im] table, the group's largest |N|^2 and the running maximum
         # (32 bytes per computed cell) are allocated once per heatmap, and
         # nothing a group or a triple allocates may outlive it.
-        triples = list(parse_dataset(DATASET))
+        triples = list(DatasetParse(DATASET))
         region = SearchRegion(-6.0, 6.0, -6.0, 6.0, grid_step=0.04)
         tracemalloc.start()
         try:

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, find, given
 import hypothesis.strategies as st
 
 from conftest import factorizations, grid_table
@@ -20,7 +20,10 @@ from wamlab.wamcore import (
     MERSENNE_N_MAX,
     EmptyFactorization,
     ExpSum,
+    _majorant,
+    _rounding,
     _serial_product,
+    _weighted_sum,
     integer_wam_sums,
     mersenne_lower_bound_check,
     wam,
@@ -763,3 +766,81 @@ class TestRandomizedCrossChecks:
                 assert abs(den) <= 1e-11 * scale
             else:
                 assert abs(ev.value - num / den) <= 1e-9 * max(1.0, abs(num / den))
+
+
+@st.composite
+def bounded_cases(draw):
+    """(f, x0, x1, s): a sum of m = 2..8 terms with rates in [-5, 5] and
+    weights +-1..3, a Re interval [x0, x1], and s with x0 <= Re s <= x1 and
+    0 <= Im s <= 1e7.  A rate is 0 or at least 1e-16 in size, as ln h is
+    for every double h, so that r^4 cannot underflow."""
+    m = draw(st.integers(2, 8))
+    rate = st.floats(-5.0, 5.0).map(lambda r: r if abs(r) >= 1e-16 else 0.0)
+    rates = draw(st.lists(rate, min_size=m, max_size=m))
+    weights = draw(st.lists(st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]), min_size=m, max_size=m))
+    x0 = draw(st.floats(-20.0, 20.0))
+    x1 = x0 + draw(st.floats(0.0, 10.0))
+    re = min(x0 + draw(st.floats(0.0, 1.0)) * (x1 - x0), x1)
+    return ExpSum(weights, rates), x0, x1, complex(re, draw(st.floats(0.0, 1e7)))
+
+
+def interval_maxima(f, x0, x1):
+    """max |e^(r_k s)| over x0 <= Re s <= x1, as the winding count takes it:
+    the right end where r_k > 0, the left where r_k < 0."""
+    return np.exp(np.maximum(f.rates * x0, f.rates * x1))
+
+
+def left_edge_only(f, x0, x1):  # the mutation: reads only the left edge
+    return np.exp(f.rates * x0)
+
+
+def derivative_bounds(case, maxima=interval_maxima):
+    """(|f^(k)(s)| in 40-digit mpmath, _majorant(f, maxima, k)) for k = 0..4."""
+    mpmath = pytest.importorskip("mpmath")
+    f, x0, x1, s = case
+    bound = maxima(f, x0, x1)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s.real, s.imag)
+        pairs = zip(map(mpmath.mpf, f.weights), map(mpmath.mpf, f.rates))
+        terms = [(w, r, mpmath.exp(r * z)) for w, r in pairs]
+        exact = [abs(mpmath.fsum(w * r**k * t for w, r, t in terms)) for k in range(5)]
+    return [(e, float(_majorant(f, bound, k))) for k, e in enumerate(exact)]
+
+
+def within(pairs):
+    # The float majorant carries its own rounding: each exponent r_k x is
+    # rounded by up to |r_k x| eps / 2, about 2e-14 relative at most here.
+    return all(exact <= bound * (1 + 1e-12) for exact, bound in pairs)
+
+
+class TestCertificateBounds:
+    """wamcore._majorant and _rounding, the bounds behind the winding count,
+    the critical-line scan and the zero search's dedup radius, against
+    40-digit mpmath."""
+
+    @given(bounded_cases())
+    def test_majorant_bounds_every_derivative_on_the_interval(self, case):
+        assert within(derivative_bounds(case))
+
+    def test_a_majorant_of_the_left_edge_alone_fails(self):
+        # The mutation the test above must catch: where r_k > 0 and Re s > x0
+        # the left edge undercounts the term.
+        find(bounded_cases(), lambda case: not within(derivative_bounds(case, left_edge_only)))
+
+    @given(bounded_cases())
+    def test_pointwise_value_lies_within_half_the_rounding_slack(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        f, _, _, s = case
+        terms, sigma = f.shifted_terms(np.array([s]))
+        value = complex(_weighted_sum(terms, f.weights)[0])
+        slack = float(_rounding(f, _majorant(f, np.abs(terms)), s)[0])
+        with mpmath.workdps(40):
+            z, shift = mpmath.mpc(s.real, s.imag), mpmath.mpf(float(sigma[0]))
+            exact = mpmath.fsum(w * mpmath.exp(mpmath.mpf(r) * z - shift) for w, r in zip(f.weights, f.rates))
+            assert abs(mpmath.mpc(value) - exact) <= slack / 2
+
+    def test_order_zero_is_the_scale_and_order_one_the_slope_weights(self):
+        f = ExpSum([2.0, -3.0], [-0.5, 1.5])
+        moduli = np.array([[1.0, 0.25]])
+        assert _majorant(f, moduli).tolist() == [2.0 + 3.0 * 0.25]
+        assert _majorant(f, moduli, 1).tolist() == [2.0 * 0.5 + 4.5 * 0.25]

@@ -429,6 +429,25 @@ class TestArgumentPrinciple:
             argument_principle_count(factor(6), region)
         assert time.perf_counter() - start < 0.1
 
+    @staticmethod
+    def boundary_report(n, region):
+        """(point, slack share) that BoundaryZero names for the count of n."""
+        with pytest.raises(BoundaryZero) as info:
+            argument_principle_count(factor(n), region)
+        text = str(info.value)
+        point, share = (text.partition(key)[2].split()[0] for key in ("near s = ", "moves it by "))
+        return complex(point), float(share)
+
+    def test_boundary_zero_tells_a_zero_from_a_height_too_great(self):
+        # A zero on the top edge: rounding moves f by a few eps of its scale,
+        # so jittering the rectangle helps.  At Im 1e15, rounding the phases
+        # r_k Im s alone moves f by most of its scale: no jitter helps.
+        point, share = self.boundary_report(6, SearchRegion(-1.0, 1.0, 0.0, 6.821234041066631))
+        assert abs(point - 6.821234041066631j) < 1e-6 and share < 1e-13
+        point, share = self.boundary_report(30, SearchRegion(-3.0, 3.0, 1e15, 1e15 + 10.0))
+        assert -3.0 <= point.real <= 3.0 and 1e15 <= point.imag <= 1e15 + 10.0
+        assert 0.5 < share < 1.0
+
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # Segments carry the values at their ends, so a halved segment's
         # midpoint is evaluated once, not once as the end of each half.
