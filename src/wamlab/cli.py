@@ -180,17 +180,16 @@ class _Output:
 
 def _load_triples(args, out: _Output):
     if args.triples is not None:
+        if args.min_quality is not None:
+            raise ValueError("--min-quality applies to --gen only, not to a --triples dataset")
         parse = DatasetParse(args.triples)
         triples = list(parse)
         for issue in parse.issues:
-            print(
-                f"{args.triples}:{issue.line_number}: {issue.message}",
-                file=sys.stderr,
-            )
+            print(f"{args.triples}:{issue.line_number}: {issue.message}", file=sys.stderr)
         out.meta["source"] = f"dataset {args.triples}"
         out.meta["parse_issues"] = len(parse.issues)
     else:
-        min_q = args.min_quality
+        min_q = 1.0 if args.min_quality is None else args.min_quality
         triples = generate_triples(args.gen, min_q)
         out.meta["source"] = f"generated c_max={args.gen} min_quality={_fmt(min_q)}"
     out.meta["triples"] = len(triples)
@@ -409,7 +408,7 @@ def _build_parser() -> _Parser:
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--triples", help="dataset file of 'a b c' lines")
         grp.add_argument("--gen", type=int, help="generate triples with c <= CMAX")
-        p.add_argument("--min-quality", type=float, default=1.0)
+        p.add_argument("--min-quality", type=float, help="with --gen only (default 1.0)")
 
     p = add("heatmap", _cmd_heatmap, help="max |wam| grid over a triple set")
     add_triple_source(p)

@@ -170,7 +170,7 @@ def wam_upper(x: Sums, a: float) -> float:
     tops = sums.numerator.weights / sums.denominator.weights[-1]
     with np.errstate(over="ignore"):  # a is arbitrary here
         gap = 1.0 - float(_g(log_ratios, weights, a))
-        tail = float(np.add.reduce(tops[:-1] * np.exp(a * log_ratios)))
+        tail = float(_g(log_ratios, tops[:-1], a))
     if gap <= 0.0:
         raise BelowCritical(f"a = {a} is at or below the critical abscissa (1 - g(a) = {gap})")
     return (float(tops[-1]) + tail) / gap

@@ -90,15 +90,10 @@ def _lsub(a, b, p):
     return _ladd(a, [-c for c in b], p)
 
 
-def _lmul(a, b, p):
+def _lmul(a, b, p):  # as _ModRing.mul; coefficients lie in [0, p), p < 2^16, so int64 is exact
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _lstrip([c % p for c in out])
+    return _lstrip((np.convolve(np.array(a, np.int64), np.array(b, np.int64)) % p).tolist())
 
 
 def _ldivmod(a, b, p):
@@ -315,9 +310,7 @@ def _squarefree_parts(coeffs: list[int], p: int):
     """Yield (squarefree monic coeff list, multiplicity) covering the input."""
     out: list[tuple[list[int], int]] = []
 
-    def rec(f: list[int], scale: int) -> None:
-        if len(f) <= 1:
-            return
+    def rec(f: list[int], scale: int) -> None:  # deg f >= 1 on every call
         df = _lderiv(f, p)
         if not df:
             rec(_pth_root(f, p), scale * p)

@@ -123,24 +123,18 @@ class DatasetParse:
                 if not line:
                     continue
                 fields = line.split()
-                if len(fields) != 3:
-                    self.issues.append(
-                        ParseIssue(lineno, raw.rstrip("\n"), "expected 3 fields")
-                    )
-                    continue
                 try:
-                    a, b, c = (int(x) for x in fields)
-                except ValueError:
-                    self.issues.append(
-                        ParseIssue(lineno, raw.rstrip("\n"), "non-integer field")
-                    )
-                    continue
-                try:
-                    yield validate_triple(a, b, c)
+                    if len(fields) != 3:
+                        raise ValueError("expected 3 fields")
+                    try:
+                        a, b, c = (int(x) for x in fields)
+                    except ValueError:
+                        raise ValueError("non-integer field") from None
+                    triple = validate_triple(a, b, c)
                 except ValueError as exc:
-                    self.issues.append(
-                        ParseIssue(lineno, raw.rstrip("\n"), str(exc))
-                    )
+                    self.issues.append(ParseIssue(lineno, raw.rstrip("\n"), str(exc)))
+                else:
+                    yield triple
 
 
 def _radical_sieve(limit: int) -> np.ndarray:
@@ -288,10 +282,11 @@ def max_wam_heatmap(
     Cells at poles (or anywhere the ratio exceeds the cap) saturate at
     exactly log10(cap); the cap is recorded on the grid.  Triples are
     grouped by denominator sum (abc with the same primes share one).  A
-    group takes one ExpSum.grid_factors, one product for |D|^2 = Re D^2 +
-    Im D^2 and one per triple for |N|^2, all into one table, and divides
-    its largest |N|^2 by |D|^2 once: division is monotone, so that is the
-    largest ratio bit for bit.  Its square root is the only modulus taken.
+    group takes ExpSum.phases and ExpSum.columns once, one product for
+    |D|^2 = Re D^2 + Im D^2 and one per triple for |N|^2, all into one
+    table, and divides its largest |N|^2 by |D|^2 once: division is
+    monotone, so that is the largest ratio bit for bit.  Its square root
+    is the only modulus taken.
     |wam| is conjugate symmetric, so when the im axis is symmetric about 0
     only the rows with im >= 0 are computed and the rest mirror them.  Over
     _HEATMAP_MAX_CELLS cells, MemoryError is raised before any axis is built.
@@ -326,7 +321,7 @@ def max_wam_heatmap(
     # beyond the rounding of |D|, so such a cell reads the cap too.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for den, (first, *rest) in groups.values():
-            factors = den.grid_factors(ims, re_axis)
+            factors = den.phases(ims), den.columns(re_axis)
             squared_modulus(first, factors, top)
             for f in rest:
                 np.maximum(top, squared_modulus(f, factors, table[:rows]), out=top)

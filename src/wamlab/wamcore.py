@@ -120,7 +120,8 @@ class ExpSum:
     pointwise evaluator is `shifted_terms`: the terms divided by the largest
     term modulus, which cannot overflow and leave ratios of sums on the
     same rates (wam, f/f', f'/f) unchanged; `_weighted_sum` adds them.  A
-    grid of Re f and Im f over a rectangle is one product of `grid_factors`.
+    grid of Re f and Im f over a rectangle is one product of `phases` and
+    `columns`.
     """
 
     __slots__ = ("weights", "rates")
@@ -151,13 +152,13 @@ class ExpSum:
         phases = np.multiply.outer(np.asarray(y, dtype=float), self.rates)
         return np.concatenate([np.cos(phases), np.sin(phases)])
 
-    def grid_factors(self, y, x):
-        """phases(y) and the columns exp(r ⊗ x - max_k r_k x), shared by every sum
-        on these rates: [Re f; Im f] at x[j] + i y[i] is (phases(y) * weights)
-        @ columns, as exp(r(x + iy)) = exp(iry) exp(rx), from (len y + len x)·m
+    def columns(self, x):
+        """exp(r ⊗ x - max_k r_k x).T, the column factor of a grid, shared by every
+        sum on these rates: [Re f; Im f] at x[j] + i y[i] is (phases(y) * weights)
+        @ columns(x), as exp(r(x + iy)) = exp(iry) exp(rx), from (len y + len x)·m
         exponentials.  Column j is divided by exp(max_k r_k x_j): it cannot
         overflow, and signs of Re and Im and ratios of sums are kept."""
-        return self.phases(y), self.shifted_terms(np.asarray(x, dtype=float))[0].T
+        return self.shifted_terms(np.asarray(x, dtype=float))[0].T
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,8 @@ def as_sums(x: Sums) -> WamSums:
 
 @dataclass(frozen=True)
 class WamEvaluation:
-    """One evaluation of wam at s.  `value is None` marks a pole.  numerator
-    and denominator are in units of the largest term modulus max_k |(ln p_k)^s|."""
+    """One evaluation of wam at s.  `value is None` marks a zero of the denominator.
+    numerator and denominator are in units of the largest term modulus max_k |(ln p_k)^s|."""
 
     s: complex
     numerator: complex

@@ -2,12 +2,12 @@
 
 Heights h_k and weights W_k are as in critical, and every function here
 takes WamSums or an integer Factorization.  Zeros of f are the candidate
-poles of wam.  A zero is an actual pole unless the numerator vanishes there
-too, which happens identically (for every zero at once) exactly when wam is
-constant.  The search is grid-seeded Newton iteration; a certified winding
-count of f round the same rectangle serves as an independent cross-check,
-and a direct scan along the vertical line Re(s) = a_crit probes how close f
-comes to vanishing near its critical abscissa.
+poles of wam.  A zero is a pole unless the numerator vanishes there too, as
+it does at every zero when wam is constant, and can at some zeros when the
+rates are commensurable (degrees 1, 2, 4).  The search is grid-seeded Newton
+iteration; a certified winding count of f round the same rectangle serves
+as an independent cross-check, and a direct scan along the vertical line
+Re(s) = a_crit probes how close f comes to vanishing near it.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _seed_points(den: ExpSum, region: SearchRegion) -> np.ndarray:
         raise MemoryError(f"a seed grid of {n_re} x {n_im:.4g} points evaluates over "
                           f"{_SEED_MAX_VALUES} values; search a smaller rectangle")
     re = region.re_min + step * np.arange(n_re)
-    columns = den.shifted_terms(re)[0].T  # as in ExpSum.grid_factors
+    columns = den.columns(re)
 
     def _mixed(p):  # a cell is mixed unless its four corners agree
         corner = p[:-1, :-1]
@@ -372,10 +372,10 @@ def critical_line_probe(x: Sums, b_max: float, samples: int) -> CriticalLineProb
     extending b_max at fixed spacing) refines to a superset grid, and every
     sample is judged by its pointwise value (`ExpSum.__call__`, whose bits do
     not depend on the batch), so the minimum is monotone under refinement.
-    Ties go to the smallest b.  Requires m >= 3, where denominator zeros
-    genuinely are poles of a nonconstant wam.  More than 2^32 samples raise
-    MemoryError, and an a_crit at which sum_k W_k h_k^a overflows a double
-    raises ValueError, before any sample is taken.
+    Ties go to the smallest b.  Requires m >= 3 (at m = 2 every zero of f
+    lies on the line).  More than 2^32 samples raise MemoryError, and an
+    a_crit at which sum_k W_k h_k^a overflows a double raises ValueError,
+    before any sample is taken.
 
     The scan runs in blocks of at most 2^16 samples, each one product of
     the weighted terms of every K-th sample and the shifted terms of the

@@ -32,10 +32,9 @@ settings.load_profile("wamlab")
 
 def grid_table(es, y, x, out=None):
     """[Re f; Im f] of the ExpSum es at x[j] + i y[i], into `out` when given:
-    the one product of ExpSum.grid_factors that the heatmap and the zero
-    seeds take."""
-    phases, columns = es.grid_factors(y, x)
-    return _serial_product(phases * es.weights, columns, out)
+    the one product of ExpSum.phases and ExpSum.columns that the heatmap and
+    the zero seeds take."""
+    return _serial_product(es.phases(y) * es.weights, es.columns(x), out)
 
 
 @pytest.fixture(autouse=True)

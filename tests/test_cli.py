@@ -18,7 +18,7 @@ import pytest
 import wamlab
 from wamlab import cli, triples, wamcore, zeros
 from conftest import run_with_blas_threads
-from wamlab.arith import _brent_rho, is_prime
+from wamlab.arith import _brent_rho, factor, is_prime
 from wamlab.cli import _cell, _csv_cell, _fmt, main
 from wamlab.critical import critical_abscissa
 from wamlab.triples import generate_triples, max_wam_heatmap
@@ -168,6 +168,18 @@ class TestTableCommands:
         assert [r["n"] for r in rows] == [str(n) for n in range(2, 13)]
         for row in rows:
             assert row["holds"] == "true"
+
+    def test_mersenne_right_of_the_bounds_prints_wam_alone(self):
+        # The bounds hold for Re s < 1 only: at Re s >= 1 each row's wam is
+        # that of 2^n (2^n - 1) and its three margin columns are empty.
+        code, out, err = run(["mersenne", "--nmax", "12", "--s", "1.5,2"])
+        assert code == 0, err
+        rows = list(csv.DictReader(body_lines(out)))
+        assert [int(r["n"]) for r in rows] == list(range(2, 13))
+        for row in rows:
+            n = int(row["n"])
+            assert complex(row["wam"]) == wamcore.wam_at(factor(2**n * (2**n - 1)), 1.5 + 2j).value
+            assert (row["lemma_margin"], row["goal_margin"], row["holds"]) == ("", "", "")
 
     @pytest.mark.parametrize("s", ["-8000", "-1e6,2"])
     def test_mersenne_holds_where_the_lemma_sides_underflow(self, s):
@@ -618,6 +630,15 @@ class TestExitCodes:
         code, out, err = run(argv)
         assert code == 1
         assert err.startswith("wamlab:") and names in err
+        assert "Traceback" not in err and out == ""
+
+    def test_min_quality_beside_a_dataset_is_bad_input(self, tmp_path):
+        # A dataset is read as it is: a quality floor there would be inert.
+        dataset = tmp_path / "triples.txt"
+        dataset.write_text("1 8 9\n5 27 32\n")
+        code, out, err = run(["heatmap", "--triples", str(dataset), "--min-quality", "1.2"])
+        assert code == 1
+        assert err.startswith("wamlab:") and "--min-quality" in err
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("case", ["missing dataset", "directory dataset", "missing out dir"])

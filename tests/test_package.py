@@ -52,32 +52,52 @@ def test_the_analytic_layer_does_not_import_arith():
         assert not {m for m in modules if m == "wamlab.arith" or m.startswith("wamlab.arith.")}, name
 
 
-def eps_reads(tree: ast.AST) -> list[str | None]:
-    """The innermost function around each read of `finfo(...).eps` or
-    `float_info.epsilon` in tree (None at module level)."""
+def package_sites(match) -> list[tuple[str, str | None]]:
+    """(file, scope) for each node of src/wamlab/*.py that `match` accepts;
+    the scope is the dotted name of the innermost class or function around
+    it, "Class.method" in a method, None at module level."""
     found = []
 
-    def visit(node, fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = node.name
-        if isinstance(node, ast.Attribute) and node.attr in ("eps", "epsilon"):
-            owner = node.value.func if isinstance(node.value, ast.Call) else node.value
-            if (dotted(owner) or "").endswith("finfo" if node.attr == "eps" else "float_info"):
-                found.append(fn)
+    def visit(node, name, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if match(node):
+            found.append((name, scope))
         for child in ast.iter_child_nodes(node):
-            visit(child, fn)
+            visit(child, name, scope)
 
-    visit(tree, None)
+    for path in sorted(pathlib.Path(wamlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
     return found
+
+
+def is_eps_read(node: ast.AST) -> bool:
+    """A read of `finfo(...).eps` or `float_info.epsilon`."""
+    if not (isinstance(node, ast.Attribute) and node.attr in ("eps", "epsilon")):
+        return False
+    owner = node.value.func if isinstance(node.value, ast.Call) else node.value
+    return (dotted(owner) or "").endswith("finfo" if node.attr == "eps" else "float_info")
+
+
+def is_column_build(node: ast.AST) -> bool:
+    """`<sum>.shifted_terms(...)[...].T`: shifted terms turned into a grid's
+    column factor, one column per point."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "T" and isinstance(node.value, ast.Subscript)):
+        return False
+    call = node.value.value
+    return isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "shifted_terms"
 
 
 def test_the_rounding_slack_has_one_home():
     """Machine epsilon, the unit of every rounding slack, is read only in
     wamcore._rounding, so the certificates share one slack."""
-    package = pathlib.Path(wamlab.__file__).parent
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    reads = [(name, fn) for name, tree in trees.items() for fn in eps_reads(tree)]
-    assert reads == [("wamcore.py", "_rounding")]
+    assert package_sites(is_eps_read) == [("wamcore.py", "_rounding")]
+
+
+def test_the_column_factor_has_one_home():
+    """The column factor of a grid is built only in ExpSum.columns, so the
+    heatmap and the zero seeds share it."""
+    assert package_sites(is_column_build) == [("wamcore.py", "ExpSum.columns")]
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"

@@ -377,11 +377,11 @@ class TestHeatmap:
         assert np.array_equal(grid.cells, per_triple_cells(triples, grid))
 
     def test_each_distinct_denominator_is_evaluated_once(self, monkeypatch):
-        # One set of grid factors per distinct denominator, and one product
-        # for it and one for each triple's numerator.
+        # One column factor per distinct denominator, and one product for it
+        # and one for each triple's numerator.
         factored, products = [], []
-        grid_factors, product = ExpSum.grid_factors, triples_module._serial_product
-        monkeypatch.setattr(ExpSum, "grid_factors", lambda *a: factored.append(a) or grid_factors(*a))
+        columns, product = ExpSum.columns, triples_module._serial_product
+        monkeypatch.setattr(ExpSum, "columns", lambda *a: factored.append(a) or columns(*a))
         monkeypatch.setattr(triples_module, "_serial_product", lambda *a, **k: products.append(a) or product(*a, **k))
         triples = list(DatasetParse(DATASET))
         max_wam_heatmap(triples, self.REGION)

@@ -374,8 +374,9 @@ class TestExpSum:
 
 
 class TestOuterKernel:
-    """ExpSum.grid_factors, the separable kernel behind heatmaps and seed grids: a
-    real table [Re f; Im f] from one product of a y factor and an x factor."""
+    """ExpSum.phases and ExpSum.columns, the separable kernel behind heatmaps and
+    seed grids: a real table [Re f; Im f] from one product of a y factor and an
+    x factor."""
 
     RE = np.linspace(-6.0, 6.0, 25)
     IM = np.linspace(-40.0, 40.0, 33)
@@ -534,7 +535,7 @@ class TestSerialProduct:
     def test_matrix_matrix_matches_matmul(self, k, n, rest):
         m = 5 * len(block_rows(2**16, k, n)[0]) + rest
         a = self.complex_matrix(m, k) * self.RNG.standard_normal(k)
-        # b as ExpSum.grid_factors and the probe build it (Fortran order) and in C order.
+        # b as ExpSum.columns and the probe build it (Fortran order) and in C order.
         self.assert_within_rounding(a, self.complex_matrix(n, k).T.astype(complex))
         self.assert_within_rounding(a, self.complex_matrix(k, n))
         self.assert_within_rounding(np.abs(a), self.RNG.standard_normal((k, n)))

@@ -17,9 +17,9 @@ import hypothesis.strategies as st
 from conftest import SMALL_PRIMES, factorizations
 from wamlab.arith import factor
 from wamlab import zeros
-from wamlab.critical import critical_abscissa
+from wamlab.critical import critical_abscissa, is_wam_constant
 from wamlab.triples import generate_triples
-from wamlab.wamcore import ExpSum, integer_wam_sums
+from wamlab.wamcore import ExpSum, integer_wam_sums, wam_at, wam_sums
 from wamlab.zeros import (
     BoundaryZero,
     Classification,
@@ -184,6 +184,21 @@ class TestClassification:
         assert all(
             r.classification is Classification.REMOVABLE for r in search.records
         )
+
+    def test_commensurable_rates_mix_removable_zeros_and_poles(self):
+        # Degrees 1, 2, 4 with weights 2, 3, 1 and multiplicity sums 3, 4, 1:
+        # D = (2^s + 1)(2^s + 2) and N = (2^s + 1)(2^s + 3).  wam is not
+        # constant, yet N vanishes at the zeros of 2^s + 1 (Re s = 0), and
+        # only those of 2^s + 2 (Re s = 1) are poles.
+        sums = wam_sums([1, 1, 2, 2, 2, 4], [1, 2, 1, 1, 2, 1])
+        region = SearchRegion(-0.5, 1.5, 0.0, 10.0)
+        b = math.pi / math.log(2)
+        records = find_zeros(sums, region).records
+        assert [r.classification for r in records] == [Classification.REMOVABLE, Classification.POLE]
+        assert np.allclose([r.location for r in records], [1j * b, 1 + 1j * b], rtol=0.0, atol=1e-9)
+        assert argument_principle_count(sums, region) == 2
+        assert not is_wam_constant(sums)
+        assert wam_at(sums, 1j * b).value is None  # a zero of D, though wam -> 2 there
 
 
 class TestSearchQuality:
@@ -419,6 +434,20 @@ class TestArgumentPrinciple:
         expected = [z for z in two_prime_zeros(p, q, 1e4 + 0.25) if z.imag > 0.5]
         region = SearchRegion(-1.0, 1.0, 0.5, 1e4 + 0.25)
         assert argument_principle_count(factor(p * q), region) == len(expected) > 100
+
+    @pytest.mark.parametrize(
+        "heights,exponents,edges,count",
+        [
+            ((3.74, 14.96, 24.69), (2, 2, 2), (-6.3, 15.8, 151.5, 157.3), 2),
+            ((4.03, 9.39, 20.06), (3, 3, 1), (-19.0, 9.6, 47.2, 69.0), 5),
+            ((3.3, 7.6, 18.46, 24.28), (1, 1, 1, 1), (-5.8, 10.9, 134.0, 177.5), 14),
+        ],
+    )
+    def test_slope_bound_reads_both_ends_of_a_segment(self, heights, exponents, edges, count):
+        # Each term's modulus peaks at the right end of a segment where its
+        # rate is positive.  A bound read at the left end alone counts 1, 6
+        # and 13 here; find_zeros at step 0.01 agrees with the counts pinned.
+        assert argument_principle_count(wam_sums(heights, exponents), SearchRegion(*edges)) == count
 
     def test_boundary_zero_is_detected(self):
         # The first zero for {2, 3} sits exactly on the top edge here, so the
